@@ -91,6 +91,10 @@ type Message struct {
 	Provenance []ProvEvent `json:"provenance,omitempty"`
 	// Content is the typed payload, JSON-encoded.
 	Content json.RawMessage `json:"content,omitempty"`
+	// encoded is the slice SetContent last stored in Content. While
+	// Content is still that slice, Marshal copies it into the frame
+	// without looking at it again; see contentIsEncoded.
+	encoded json.RawMessage
 }
 
 // TraceSpan records one hop of a traced conversation: which agent did what
@@ -234,27 +238,6 @@ func (m *Message) String() string {
 	return fmt.Sprintf("%s %s->%s (%d bytes)", m.Performative, m.Sender, m.Receiver, len(m.Content))
 }
 
-// SetContent encodes a payload into the message.
-func (m *Message) SetContent(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("kqml: encoding %T content: %w", v, err)
-	}
-	m.Content = data
-	return nil
-}
-
-// DecodeContent decodes the message payload into v.
-func (m *Message) DecodeContent(v any) error {
-	if len(m.Content) == 0 {
-		return fmt.Errorf("kqml: %s message from %s has no content", m.Performative, m.Sender)
-	}
-	if err := json.Unmarshal(m.Content, v); err != nil {
-		return fmt.Errorf("kqml: decoding %s content into %T: %w", m.Performative, v, err)
-	}
-	return nil
-}
-
 // New builds a message with content, panicking only on marshaling bugs
 // (payload types here are all JSON-safe).
 func New(p Performative, sender string, content any) *Message {
@@ -392,6 +375,10 @@ const (
 	// SorryReasonUnsupportedPerformative prefixes refusals of
 	// performatives an agent does not speak.
 	SorryReasonUnsupportedPerformative = "unsupported performative"
+	// SorryReasonUnframeableReply is sent by a transport in place of a
+	// reply it could not put on the wire (it does not encode, or exceeds
+	// the frame limit); the cause follows the prefix. The handler did run.
+	SorryReasonUnframeableReply = "reply could not be framed"
 )
 
 // IsSorry reports whether m is a sorry/error refusal whose reason starts
@@ -420,23 +407,6 @@ func ReasonOf(m *Message) string {
 		return sc.Reason
 	}
 	return string(m.Performative) + " from " + m.Sender
-}
-
-// Marshal frames a message for the wire.
-func Marshal(m *Message) ([]byte, error) {
-	return json.Marshal(m)
-}
-
-// Unmarshal parses a wire frame.
-func Unmarshal(data []byte) (*Message, error) {
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("kqml: bad message frame: %w", err)
-	}
-	if m.Performative == "" {
-		return nil, fmt.Errorf("kqml: message missing performative")
-	}
-	return &m, nil
 }
 
 // Ensure constraint values round-trip in message payloads (compile-time

@@ -46,7 +46,8 @@ const (
 )
 
 // TCP is a Transport over TCP with "tcp://host:port" addresses. Frames are
-// a 4-byte big-endian length followed by the JSON-encoded message.
+// a 4-byte big-endian length followed by the JSON-encoded message, built in
+// one pooled buffer and written with one Write.
 // Connections are pooled: a Call reuses an idle connection to its peer
 // when one is parked, and parks its connection on success, so steady
 // traffic to one peer pays the TCP handshake once instead of per call
@@ -193,12 +194,23 @@ func serveConn(conn net.Conn, h Handler, idleTimeout time.Duration) {
 		if reply == nil {
 			reply = &kqml.Message{Performative: kqml.Error, Sender: msg.Receiver}
 		}
-		out, err := kqml.Marshal(reply)
+		frame, err := encodeFrame(reply)
 		if err != nil {
+			// The handler has run. Closing the connection instead would
+			// make a client on a reused connection take it for stale and
+			// send the request again, so it is told what happened.
 			mServeErrors.With("tcp").Inc()
-			return
+			sorry := kqml.New(kqml.Error, msg.Receiver, &kqml.SorryContent{
+				Reason: kqml.SorryReasonUnframeableReply + ": " + err.Error(),
+			})
+			sorry.InReplyTo = msg.ReplyWith
+			if frame, err = encodeFrame(sorry); err != nil {
+				return
+			}
 		}
-		if err := writeFrame(conn, out); err != nil {
+		_, err = conn.Write(*frame)
+		releaseFrame(frame)
+		if err != nil {
 			mServeErrors.With("tcp").Inc()
 			return
 		}
@@ -226,10 +238,12 @@ func (t *TCP) doCall(ctx context.Context, addr string, msg *kqml.Message) (_ *kq
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	out, err := kqml.Marshal(msg)
+	frame, err := encodeFrame(msg)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	defer releaseFrame(frame)
+	out := *frame
 	conn, reused, err := t.checkout(ctx, hostport)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("%w: %s: %v", ErrUnreachable, addr, err)
@@ -252,29 +266,18 @@ func (t *TCP) doCall(ctx context.Context, addr string, msg *kqml.Message) (_ *kq
 	return reply, sent, received, err
 }
 
-// exchange performs one framed request/reply on the connection. On
-// success the connection is parked for reuse; on failure it is closed.
+// exchange performs one request/reply on the connection; out is the whole
+// request frame, length prefix included. On success the connection is
+// parked for reuse; on failure it is closed.
 func (t *TCP) exchange(ctx context.Context, conn net.Conn, addr, hostport string, out []byte) (_ *kqml.Message, sent, received int, _ error) {
-	// Derive the read/write deadline from the context via a watcher rather
-	// than conn.SetDeadline(ctx.Deadline()): ctx.Done() closes only after
-	// ctx.Err() is set, so when a blocked write or read wakes up the cause
-	// is unambiguous. This also covers cancellation without a deadline.
-	// The watcher is joined (not just signaled) before the connection is
-	// parked, so a late cancellation cannot poison a pooled connection's
-	// deadline after it has been reset.
-	watchStop := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-			_ = conn.SetDeadline(time.Now())
-		case <-watchStop:
-		}
-	}()
-	stopWatcher := func() {
-		close(watchStop)
-		<-watchDone
+	// Derive the read/write deadline from the context by watching it rather
+	// than with conn.SetDeadline(ctx.Deadline()): ctx.Done() closes only
+	// after ctx.Err() is set, so when a blocked write or read wakes up the
+	// cause is unambiguous. This also covers cancellation without a
+	// deadline. A context that can never be done needs no watch.
+	var watch *deadlineWatch
+	if ctx.Done() != nil {
+		watch = watchDeadline(ctx, conn)
 	}
 	// ctxWrap prefers the context's error once it has fired, so callers
 	// see context.DeadlineExceeded / context.Canceled rather than an
@@ -285,19 +288,21 @@ func (t *TCP) exchange(ctx context.Context, conn net.Conn, addr, hostport string
 		}
 		return fmt.Errorf("transport: %s %s: %w", op, addr, err)
 	}
-	if err := writeFrame(conn, out); err != nil {
-		stopWatcher()
+	if _, err := conn.Write(out); err != nil {
+		watch.stop()
 		conn.Close()
 		return nil, 0, 0, ctxWrap("writing to", err)
 	}
-	sent = len(out)
+	sent = len(out) - frameHeader
 	in, err := readFrame(conn)
+	// The watch is joined, not just signaled, before the connection is
+	// parked, so a late cancellation cannot poison a pooled connection's
+	// deadline after it has been reset.
+	watch.stop()
 	if err != nil {
-		stopWatcher()
 		conn.Close()
 		return nil, sent, 0, ctxWrap("reading reply from", err)
 	}
-	stopWatcher()
 	reply, err := kqml.Unmarshal(in)
 	if err != nil {
 		conn.Close()
@@ -308,6 +313,42 @@ func (t *TCP) exchange(ctx context.Context, conn net.Conn, addr, hostport string
 	return reply, sent, len(in), nil
 }
 
+// deadlineWatch expires a connection's deadline when a context is done, so
+// that a blocked read or write returns. A nil watch watches nothing.
+type deadlineWatch struct {
+	cancel func() bool
+	// mu orders expire against stop: once stop has returned, expire does
+	// nothing, even if the context fired and expire is about to run.
+	mu      sync.Mutex
+	stopped bool
+	conn    net.Conn
+}
+
+func watchDeadline(ctx context.Context, conn net.Conn) *deadlineWatch {
+	w := &deadlineWatch{conn: conn}
+	w.cancel = context.AfterFunc(ctx, w.expire)
+	return w
+}
+
+func (w *deadlineWatch) expire() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.stopped {
+		_ = w.conn.SetDeadline(time.Now())
+	}
+}
+
+// stop ends the watch. When it returns the watch has either expired the
+// deadline already or never will.
+func (w *deadlineWatch) stop() {
+	if w == nil || w.cancel() {
+		return
+	}
+	w.mu.Lock()
+	w.stopped = true
+	w.mu.Unlock()
+}
+
 func stripTCP(addr string) (string, error) {
 	if !strings.HasPrefix(addr, "tcp://") {
 		return "", fmt.Errorf("transport: TCP transport requires tcp:// address, got %q", addr)
@@ -315,21 +356,47 @@ func stripTCP(addr string) (string, error) {
 	return strings.TrimPrefix(addr, "tcp://"), nil
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: writing %d bytes (limit %d)", ErrFrameTooLarge, len(payload), MaxFrame)
+// frameHeader is the length prefix of a frame.
+const frameHeader = 4
+
+// maxPooledFrame is the largest encode buffer kept for reuse; one grown
+// for a rare huge result is left to the collector.
+const maxPooledFrame = 1 << 20
+
+// framePool holds encode buffers between frames. Only the encode side
+// pools: a decoded message keeps the frame it was read into.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// encodeFrame encodes m behind its length prefix in a pooled buffer, ready
+// for one Write. The caller hands the buffer to releaseFrame once written.
+func encodeFrame(m *kqml.Message) (*[]byte, error) {
+	frame := framePool.Get().(*[]byte)
+	var prefix [frameHeader]byte
+	b, err := kqml.AppendMessage(append((*frame)[:0], prefix[:]...), m)
+	*frame = b
+	n := len(b) - frameHeader
+	if err == nil && n > MaxFrame {
+		err = fmt.Errorf("%w: writing %d bytes (limit %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if err != nil {
+		releaseFrame(frame)
+		return nil, err
 	}
-	_, err := w.Write(payload)
-	return err
+	binary.BigEndian.PutUint32(b, uint32(n))
+	return frame, nil
+}
+
+func releaseFrame(frame *[]byte) {
+	if cap(*frame) <= maxPooledFrame {
+		framePool.Put(frame)
+	}
 }
 
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			// Bytes arrived, then the stream died: a peer failing

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,10 +282,9 @@ func TestTCPRejectsWrongScheme(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var sink frameBuffer
-	err := writeFrame(&sink, make([]byte, MaxFrame+1))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversized write err = %v, want ErrFrameTooLarge", err)
+	msg := kqml.New(kqml.Tell, "s", &kqml.SorryContent{Reason: strings.Repeat("x", MaxFrame)})
+	if _, err := encodeFrame(msg); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -486,11 +487,106 @@ func TestPeerFailureCounter(t *testing.T) {
 	}
 }
 
-type frameBuffer struct{ data []byte }
+// TestUnframeableReplyIsNotRetried: when the handler's reply cannot be put
+// on the wire, the server must say so rather than close the connection. A
+// close on a reused connection looks like a stale one to the client, which
+// would send the request again and run the handler twice.
+func TestUnframeableReplyIsNotRetried(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply func() *kqml.Message
+	}{
+		{"oversized", func() *kqml.Message {
+			return kqml.New(kqml.Tell, "big", &kqml.SorryContent{Reason: strings.Repeat("x", MaxFrame)})
+		}},
+		{"unencodable", func() *kqml.Message {
+			return &kqml.Message{Performative: kqml.Tell, Sender: "big", Content: []byte(`{"truncated":`)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var handled atomic.Int32
+			tr := &TCP{}
+			l, err := tr.Listen("tcp://127.0.0.1:0", func(msg *kqml.Message) *kqml.Message {
+				if msg.Performative == kqml.Ping {
+					return echoHandler("big")(msg)
+				}
+				handled.Add(1)
+				return tc.reply()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			ping := kqml.New(kqml.Ping, "caller", &kqml.PingContent{})
+			if _, err := tr.Call(context.Background(), l.Addr(), ping); err != nil {
+				t.Fatal(err)
+			}
+			before := SnapshotPoolStats()
+			ask := kqml.New(kqml.AskAll, "caller", &kqml.SQLQuery{SQL: "select everything"})
+			ask.ReplyWith = "q-1"
+			reply, err := tr.Call(context.Background(), l.Addr(), ask)
+			if err != nil {
+				t.Fatalf("Call: %v", err)
+			}
+			after := SnapshotPoolStats()
+			if after.Dials != before.Dials || after.Broken != before.Broken {
+				t.Errorf("call did not stay on the parked connection: %+v -> %+v", before, after)
+			}
+			if n := handled.Load(); n != 1 {
+				t.Errorf("handler ran %d times, want 1", n)
+			}
+			if !kqml.IsSorry(reply, kqml.SorryReasonUnframeableReply) || reply.Performative != kqml.Error {
+				t.Errorf("reply = %s %q, want an error with reason %q", reply.Performative, kqml.ReasonOf(reply), kqml.SorryReasonUnframeableReply)
+			}
+			if reply.InReplyTo != "q-1" {
+				t.Errorf("in-reply-to = %q, want q-1", reply.InReplyTo)
+			}
+			// The connection survived and still serves.
+			if _, err := tr.Call(context.Background(), l.Addr(), ping); err != nil {
+				t.Errorf("call after the refusal: %v", err)
+			}
+		})
+	}
+}
 
-func (b *frameBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
+// writeCounter counts the Write calls a connection sees.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerFrame: a frame leaves in a single Write, header and
+// payload together, on both the client and the server side.
+func TestOneWritePerFrame(t *testing.T) {
+	client, server := net.Pipe()
+	cw, sw := &writeCounter{Conn: client}, &writeCounter{Conn: server}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serveConn(sw, echoHandler("echo"), 0)
+	}()
+	tr := &TCP{MaxIdleConnsPerHost: -1}
+	frame, err := encodeFrame(kqml.New(kqml.AskAll, "caller", &kqml.SQLQuery{SQL: "select 1"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseFrame(frame)
+	reply, sent, received, err := tr.exchange(context.Background(), cw, "pipe", "pipe", *frame)
+	if err != nil || reply.Performative != kqml.Tell {
+		t.Fatalf("exchange = %v, %v", reply, err)
+	}
+	if sent != len(*frame)-frameHeader || received == 0 {
+		t.Errorf("sent, received = %d, %d; frame payload is %d bytes", sent, received, len(*frame)-frameHeader)
+	}
+	<-done // exchange closed the unpooled connection, which ends serveConn
+	if c, s := cw.writes.Load(), sw.writes.Load(); c != 1 || s != 1 {
+		t.Errorf("writes: client %d, server %d; want 1 and 1", c, s)
+	}
 }
 
 func TestHandlerPanicBecomesErrorReply(t *testing.T) {
