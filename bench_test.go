@@ -322,42 +322,52 @@ func BenchmarkPooledCall(b *testing.B) {
 		{"pooled+nop-policy", 0, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			tr := &transport.TCP{MaxIdleConnsPerHost: mode.maxIdle}
-			br, err := broker.New(broker.Config{
-				Name:      "bench-broker",
-				Address:   "tcp://127.0.0.1:0",
-				Transport: tr,
-				World:     experiments.BenchWorld(),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := br.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer br.Stop()
-			for _, ad := range experiments.BenchAds(32) {
-				if err := br.Repository().Put(ad); err != nil {
-					b.Fatal(err)
-				}
-			}
-			msg := kqml.New(kqml.AskAll, "bench-client", &kqml.BrokerQuery{Query: experiments.BenchQuery()})
-			call := resilience.CallFunc(tr.Call)
-			if mode.policy {
-				call = resilience.Disabled().WrapCall(tr.Call)
-			}
+			op := brokerCallOp(b, mode.maxIdle, mode.policy)
 			before := transport.SnapshotPoolStats()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := call(context.Background(), br.Addr(), msg); err != nil {
-					b.Fatal(err)
-				}
+				op()
 			}
 			b.StopTimer()
 			after := transport.SnapshotPoolStats()
 			b.ReportMetric(float64(after.Dials-before.Dials)/float64(b.N), "dials/call")
 		})
+	}
+}
+
+// brokerCallOp starts a broker over TCP with 32 advertisements and returns
+// one broker query against it. TestPooledCallAllocs holds the pooled mode
+// to its allocation ceiling.
+func brokerCallOp(tb testing.TB, maxIdle int, policy bool) func() {
+	tr := &transport.TCP{MaxIdleConnsPerHost: maxIdle}
+	br, err := broker.New(broker.Config{
+		Name:      "bench-broker",
+		Address:   "tcp://127.0.0.1:0",
+		Transport: tr,
+		World:     experiments.BenchWorld(),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := br.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { br.Stop() })
+	for _, ad := range experiments.BenchAds(32) {
+		if err := br.Repository().Put(ad); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	msg := kqml.New(kqml.AskAll, "bench-client", &kqml.BrokerQuery{Query: experiments.BenchQuery()})
+	call := resilience.CallFunc(tr.Call)
+	if policy {
+		call = resilience.Disabled().WrapCall(tr.Call)
+	}
+	return func() {
+		if _, err := call(context.Background(), br.Addr(), msg); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 

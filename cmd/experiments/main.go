@@ -190,7 +190,7 @@ func main() {
 		}
 	}
 	// The subscription sweep measures the CDC pipeline's indexed standing
-	// queries against the evaluate-all baseline (BENCH_subs.json);
+	// queries against evaluating all of them (BENCH_subs.json);
 	// explicit-only, like bench. With -quick it doubles as the CI smoke
 	// test: SubBench fails outright when indexed matching cannot beat
 	// evaluate-all, when a stalled subscriber delays a fast one, or when
@@ -206,8 +206,6 @@ func main() {
 				pt.Subs, pt.IndexedEvals, pt.EvalAllEvals, pt.EvalFraction*100,
 				pt.RegisterPerSec, pt.MutationMicrosPerChange, pt.HeapPerSubKB, pt.StalledIsolated)
 		}
-		fmt.Printf("  legacy baseline (%d subs): %d evals in %.2fs synchronous on the mutation path\n",
-			res.Legacy.Subs, res.Legacy.Evals, res.Legacy.StreamSeconds)
 		fmt.Printf("  eval fraction at %d subs: %.2f%% (≤5%% bar: %v)\n",
 			res.Points[len(res.Points)-1].Subs, res.EvalFractionAtMax*100, res.IndexedWithin5Pct)
 	}

@@ -55,16 +55,7 @@ func main() {
 		respTime    = flag.Float64("response-time", 5, "advertised estimated response time (s)")
 		seed        = flag.Int64("seed", 1, "data generation seed")
 		heartbeat   = flag.Duration("heartbeat", 60*time.Second, "broker ping interval (0 disables)")
-
-		subQueueCap = flag.Int("sub-queue-cap", 0,
-			"per-subscriber change-event queue bound (0 = default 64); overflow coalesces to latest")
-		subBatchWindow = flag.Duration("sub-batch-window", 0,
-			"delay before a subscription sender drains its queue, batching change bursts (0 disables)")
-		subLogSize = flag.Int("sub-log-size", 0,
-			"recent-notification ring served at /subs (0 = default 256)")
-		subLegacyNotify = flag.Bool("sub-legacy-notify", false,
-			"use the deprecated synchronous evaluate-all notification path instead of the CDC pipeline")
-		opts daemon.Options
+		opts        daemon.Options
 	)
 	opts.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -85,10 +76,6 @@ func main() {
 		World:                ontology.NewWorld(ontology.Generic(), ontology.Healthcare()),
 		EstimatedResponseSec: *respTime,
 		CallPolicy:           opts.CallPolicy(),
-		SubQueueCap:          *subQueueCap,
-		SubBatchWindow:       *subBatchWindow,
-		SubLogSize:           *subLogSize,
-		LegacyNotify:         *subLegacyNotify,
 	})
 	if err != nil {
 		logging.Fatal(logger, "agent construction failed", "err", err)

@@ -229,6 +229,16 @@ type (
 	ResourceSpec = community.ResourceSpec
 )
 
+// Community profiles (CommunityConfig.Profile).
+const (
+	// ProfileProduction, the zero value, builds the system the daemons
+	// run: match cache, parallel fan-out, planner, CDC notifications.
+	ProfileProduction = community.Production
+	// ProfilePaperFaithful builds the paper's system: uncached matching
+	// over a flat repository, serial unplanned gather, single-shot calls.
+	ProfilePaperFaithful = community.PaperFaithful
+)
+
 // NewCommunity builds and starts the brokers of a community.
 func NewCommunity(cfg CommunityConfig) (*Community, error) { return community.New(cfg) }
 

@@ -94,10 +94,6 @@ type Options struct {
 	// QueueCap bounds each subscriber's pending-event queue; <= 0 means
 	// DefaultQueueCap. Overflow coalesces to the newest pending event.
 	QueueCap int
-	// BatchWindow, when positive, is how long a sender waits after waking
-	// before draining its queue, so a burst of changes collapses into one
-	// delivery (one re-evaluation, one notification).
-	BatchWindow time.Duration
 }
 
 // DefaultQueueCap is the per-subscriber queue bound when Options leaves
@@ -186,8 +182,8 @@ func (h *Hub) Subscribe(id string, classes []string, region *constraint.Set, del
 // whose region overlaps the change are enqueued, the evaluate-all tier is
 // always enqueued, and everything else is skipped without work. It
 // returns how many subscriptions were enqueued and how many indexed
-// subscriptions were skipped by the region test — the re-evaluations the
-// legacy evaluate-all path would have performed. An event with an empty
+// subscriptions were skipped by the region test: the re-evaluations the
+// index saved. An event with an empty
 // Class enqueues every subscription. Publish never blocks on delivery.
 func (h *Hub) Publish(ev Event) (matched, skipped int) {
 	ev.Seq = h.seq.Add(1)
@@ -402,9 +398,6 @@ func (s *Sub) offer(ev Event) bool {
 // idle. At most one run goroutine exists per subscription.
 func (s *Sub) run() {
 	for {
-		if w := s.hub.opts.BatchWindow; w > 0 {
-			time.Sleep(w)
-		}
 		s.mu.Lock()
 		if s.closed || len(s.queue) == 0 {
 			s.running = false

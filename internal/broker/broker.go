@@ -80,18 +80,13 @@ type Config struct {
 	// scale for the live experiments.
 	SyntheticCostPerAd time.Duration
 	// DisableMatchCache turns off the generation-invalidated match
-	// cache, so every query re-runs the matching engine — the original
-	// LDL broker's behavior, which the Section 5 reasoning-cost
-	// experiments model (the experiment harness sets this).
+	// cache, so every query re-runs the matching engine: the original
+	// LDL broker's behavior, part of community.PaperFaithful.
 	DisableMatchCache bool
-	// MatchCacheSize bounds the distinct queries the match cache holds;
-	// zero means DefaultMatchCacheSize.
-	MatchCacheSize int
 	// RepositoryShards partitions the advertisement repository into this
 	// many independently locked, indexed, and generation-stamped shards
 	// (rounded up to a power of two). Zero or one keeps the flat
-	// single-shard repository — the Section 5 reproduction default, which
-	// the experiment harness pins so reproduced artifacts are unchanged.
+	// single-shard repository.
 	RepositoryShards int
 	// CallTimeout bounds each outgoing call; zero means 10 s.
 	CallTimeout time.Duration
@@ -99,7 +94,7 @@ type Config struct {
 	// the broker's outgoing calls (inter-broker forwards, recruit
 	// deliveries, liveness pings). Forwarding also skips peers whose
 	// circuit is open, recording them in BrokerReply.Degraded. Nil keeps
-	// every call single-shot — the Section 5 experiment harness default.
+	// every call single-shot.
 	CallPolicy *resilience.Policy
 }
 
@@ -180,7 +175,7 @@ func New(cfg Config) (*Broker, error) {
 		b.matcher = &DirectMatcher{World: cfg.World}
 	}
 	if !cfg.DisableMatchCache {
-		b.matcher = NewCachedMatcher(b.matcher, cfg.MatchCacheSize)
+		b.matcher = NewCachedMatcher(b.matcher, DefaultMatchCacheCapacity)
 	}
 	b.matcherName = matcherLabel(b.matcher)
 	b.callFn = cfg.CallPolicy.WrapCall(cfg.Transport.Call)

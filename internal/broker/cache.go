@@ -48,9 +48,9 @@ import (
 // traced queries still stamp their own spans, counters still count every
 // arrival, and hop/policy handling runs per request.
 
-// DefaultMatchCacheSize bounds cached distinct queries per broker (per
+// DefaultMatchCacheCapacity bounds cached distinct queries per broker (per
 // shard, on a sharded repository).
-const DefaultMatchCacheSize = 256
+const DefaultMatchCacheCapacity = 256
 
 // cacheMetrics routes a matchCache's accounting, so the whole-result
 // cache and the per-shard partial caches report into separate metric
@@ -89,9 +89,6 @@ type matchCache struct {
 }
 
 func newMatchCache(capacity int, met cacheMetrics) *matchCache {
-	if capacity <= 0 {
-		capacity = DefaultMatchCacheSize
-	}
 	return &matchCache{
 		cap:     capacity,
 		met:     met,
@@ -132,10 +129,8 @@ func (c *matchCache) peek(key string, gen uint64) bool {
 }
 
 // store memoizes a result, evicting the least recently used entry past
-// capacity.
+// capacity. The caller holds c.mu.
 func (c *matchCache) store(key string, gen uint64, matches []*ontology.Advertisement) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		e := el.Value.(*matchCacheEntry)
 		e.gen = gen
@@ -161,9 +156,24 @@ func (c *matchCache) store(key string, gen uint64, matches []*ontology.Advertise
 // result. shared reports whether this caller piggybacked on another's
 // computation. Keying the flight on the generation keeps a
 // post-invalidation request from riding a pre-invalidation computation.
+//
+// A caller gets here after its own lookup missed, in a separate critical
+// section, so the leader may have finished in between. The entry is
+// therefore checked again under the lock that looks for a flight, and the
+// leader stores its result and removes its flight in one critical section:
+// at every instant a current result is either in flight or in the cache,
+// so the engine runs once. This saves work and nothing else: results are
+// stamped with the generation they were computed at, so a second run
+// would return the same answer, never a stale one.
 func (c *matchCache) compute(key string, gen uint64, fn func() ([]*ontology.Advertisement, error)) (matches []*ontology.Advertisement, shared bool, err error) {
 	fkey := key + "@" + strconv.FormatUint(gen, 10)
 	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		if e := el.Value.(*matchCacheEntry); e.gen == gen {
+			c.mu.Unlock()
+			return e.matches, true, nil
+		}
+	}
 	if f, ok := c.flights[fkey]; ok {
 		c.mu.Unlock()
 		<-f.done
@@ -174,16 +184,18 @@ func (c *matchCache) compute(key string, gen uint64, fn func() ([]*ontology.Adve
 	c.mu.Unlock()
 
 	f.matches, f.err = fn()
-	close(f.done)
 
 	c.mu.Lock()
 	delete(c.flights, fkey)
+	if f.err == nil {
+		c.store(key, gen, f.matches)
+	}
 	c.mu.Unlock()
+	close(f.done)
 
 	if f.err != nil {
 		return nil, false, f.err
 	}
-	c.store(key, gen, f.matches)
 	return f.matches, false, nil
 }
 
@@ -216,11 +228,11 @@ type CachedMatcher struct {
 }
 
 // NewCachedMatcher wraps inner with a match cache holding up to capacity
-// distinct queries (<= 0 means DefaultMatchCacheSize) — per shard, when
+// distinct queries (<= 0 means DefaultMatchCacheCapacity) — per shard, when
 // the repository is sharded.
 func NewCachedMatcher(inner Matcher, capacity int) *CachedMatcher {
 	if capacity <= 0 {
-		capacity = DefaultMatchCacheSize
+		capacity = DefaultMatchCacheCapacity
 	}
 	return &CachedMatcher{
 		Inner:    inner,

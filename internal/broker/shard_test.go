@@ -470,30 +470,39 @@ func TestConcurrentShardMutationVsCachedSearch(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkShardDispatch is the CI alloc guard for the single-shard fast
-// path: routing an operation to its shard must add zero allocations when
-// shards=1, so the default flat configuration pays nothing for the
-// sharding machinery.
+// BenchmarkShardDispatch measures routing an operation to its shard. On
+// the single-shard fast path it must add zero allocations, so the default
+// flat configuration pays nothing for the sharding machinery
+// (TestShardDispatchAllocs).
 func BenchmarkShardDispatch(b *testing.B) {
 	for _, n := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards-%d", n), func(b *testing.B) {
-			r := NewShardedRepository(n)
-			for i := 0; i < 64; i++ {
-				if err := r.Put(resourceAd(fmt.Sprintf("agent-%02d", i), "C2")); err != nil {
-					b.Fatal(err)
-				}
-			}
+			op := shardDispatchOp(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !r.Contains("agent-07") {
-					b.Fatal("missing")
-				}
-				if r.Generation() == 0 {
-					b.Fatal("generation")
-				}
+				op()
 			}
 		})
+	}
+}
+
+// shardDispatchOp fills an n-shard repository and returns one name lookup
+// plus one generation read.
+func shardDispatchOp(tb testing.TB, n int) func() {
+	r := NewShardedRepository(n)
+	for i := 0; i < 64; i++ {
+		if err := r.Put(resourceAd(fmt.Sprintf("agent-%02d", i), "C2")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return func() {
+		if !r.Contains("agent-07") {
+			tb.Fatal("missing")
+		}
+		if r.Generation() == 0 {
+			tb.Fatal("generation")
+		}
 	}
 }
 

@@ -2,6 +2,10 @@
 // consortia (Figure 11), resource agents over generated data, MRQ agents
 // and user agents — on an in-process transport by default. The experiment
 // harness and the examples build their topologies through it.
+//
+// A community is built in one of two profiles (see Profile): the system
+// that ships, or the system the paper describes. Config.resolve is the
+// only place that says what either one is.
 package community
 
 import (
@@ -23,8 +27,27 @@ import (
 	"infosleuth/internal/useragent"
 )
 
+// Profile selects which system a community builds.
+type Profile int
+
+const (
+	// Production, the zero value, is the system the daemons and the
+	// benchmark run: whatever broker.New, mrq.New and resource.New do by
+	// default (match cache on, parallel fragment fan-out, CDC
+	// notifications), plus the federated planner that mrqd turns on.
+	Production Profile = iota
+	// PaperFaithful is the system of the paper, which the live Section 5
+	// experiments measure: every broker query pays the full match over a
+	// flat repository, the MRQ agent gathers fragments one at a time and
+	// as they are, and calls are single-shot.
+	PaperFaithful
+)
+
 // Config configures a community.
 type Config struct {
+	// Profile selects production (the zero value) or paper-faithful
+	// behaviour for every broker and MRQ agent of the community.
+	Profile Profile
 	// Brokers is the number of brokers; they form one fully connected
 	// consortium. Zero means 1.
 	Brokers int
@@ -42,9 +65,35 @@ type Config struct {
 	// applied to resources whose spec sets none.
 	ResourceQueryDelayPerRow time.Duration
 	// CallPolicy adds retries and per-peer circuit breakers to every
-	// agent's and broker's outgoing calls. Nil keeps calls single-shot —
-	// the configuration the Section 5 experiments pin.
+	// agent's and broker's outgoing calls. Nil keeps calls single-shot;
+	// PaperFaithful accepts nothing else.
 	CallPolicy *resilience.Policy
+}
+
+// resolve turns the profile into the broker and MRQ settings it stands
+// for. New and AddMRQ fill in identity and wiring (names, transport,
+// brokers, world) on copies of what it returns; nothing else in the
+// package sets a field the two profiles disagree on.
+func (cfg Config) resolve() (broker.Config, mrq.Config, error) {
+	var (
+		b broker.Config
+		m mrq.Config
+	)
+	switch cfg.Profile {
+	case Production:
+		m.Planner = true
+	case PaperFaithful:
+		if cfg.CallPolicy != nil {
+			return b, m, fmt.Errorf("community: the paper-faithful profile makes single-shot calls; CallPolicy must be nil")
+		}
+		b.DisableMatchCache = true // the LDL broker re-ran the match on every query
+		b.RepositoryShards = 1     // one flat advertisement repository
+		m.MaxFanout = 1            // serial gather, in broker match order
+		// m.Planner stays false: every fragment is fetched as it is.
+	default:
+		return b, m, fmt.Errorf("community: unknown profile %d", cfg.Profile)
+	}
+	return b, m, nil
 }
 
 // Community is a running set of agents.
@@ -61,6 +110,8 @@ type Community struct {
 	Fleet          []*fleet.Agent
 
 	cfg Config
+	// mrqCfg is the profile's MRQ settings, resolved once in New.
+	mrqCfg mrq.Config
 }
 
 // New builds and starts the brokers of a community.
@@ -74,16 +125,19 @@ func New(cfg Config) (*Community, error) {
 	if cfg.World == nil {
 		cfg.World = ontology.NewWorld(ontology.Generic(), ontology.Healthcare())
 	}
-	c := &Community{Transport: cfg.Transport, World: cfg.World, cfg: cfg}
+	brokerCfg, mrqCfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	c := &Community{Transport: cfg.Transport, World: cfg.World, cfg: cfg, mrqCfg: mrqCfg}
 	for i := 0; i < cfg.Brokers; i++ {
-		bcfg := broker.Config{
-			Name:        fmt.Sprintf("Broker%d", i+1),
-			Transport:   cfg.Transport,
-			World:       cfg.World,
-			CallTimeout: cfg.CallTimeout,
-			CallPolicy:  cfg.CallPolicy,
-			Consortia:   []string{"consortium-1"},
-		}
+		bcfg := brokerCfg
+		bcfg.Name = fmt.Sprintf("Broker%d", i+1)
+		bcfg.Transport = cfg.Transport
+		bcfg.World = cfg.World
+		bcfg.CallTimeout = cfg.CallTimeout
+		bcfg.CallPolicy = cfg.CallPolicy
+		bcfg.Consortia = []string{"consortium-1"}
 		if cfg.BrokerOptions != nil {
 			cfg.BrokerOptions(i, &bcfg)
 		}
@@ -163,12 +217,6 @@ func (c *Community) AddResource(ctx context.Context, spec ResourceSpec) (*resour
 		EstimatedResponseSec: spec.EstimatedResponseSec,
 		QueryDelayPerRow:     spec.QueryDelayPerRow,
 		CallPolicy:           c.cfg.CallPolicy,
-		// The Section 5 harness runs through communities; pin the legacy
-		// synchronous evaluate-all notification path so the reproduced
-		// artifacts keep their original per-change notification schedule.
-		// The CDC pipeline (indexed matching, batched async fan-out) is
-		// exercised by resources built directly via resource.New.
-		LegacyNotify: true,
 	})
 	if err != nil {
 		return nil, err
@@ -187,26 +235,19 @@ func (c *Community) AddResource(ctx context.Context, spec ResourceSpec) (*resour
 // the given ontology. specialty optionally restricts it to specific
 // classes.
 func (c *Community) AddMRQ(ctx context.Context, name, ontologyName string, specialty ...string) (*mrq.Agent, error) {
-	a, err := mrq.New(mrq.Config{
-		Name:                  name,
-		Transport:             c.Transport,
-		KnownBrokers:          c.BrokerAddrs(),
-		Redundancy:            len(c.Brokers),
-		CallTimeout:           c.cfg.CallTimeout,
-		RandomizeBrokerChoice: true,
-		World:                 c.World,
-		Ontology:              ontologyName,
-		Specialty:             specialty,
-		PushConstraints:       true,
-		// The Section 5 harness models the paper's serial gather; keeping
-		// the fan-out at 1 also keeps the reference experiment artifacts
-		// stable (same rule as disabling the broker match cache there).
-		// Planner stays off (zero value) for the same reason: the
-		// paper-faithful path must fetch every fragment as-is, with no
-		// semi-join or aggregate rewrites.
-		MaxFanout:  1,
-		CallPolicy: c.cfg.CallPolicy,
-	})
+	mcfg := c.mrqCfg
+	mcfg.Name = name
+	mcfg.Transport = c.Transport
+	mcfg.KnownBrokers = c.BrokerAddrs()
+	mcfg.Redundancy = len(c.Brokers)
+	mcfg.CallTimeout = c.cfg.CallTimeout
+	mcfg.CallPolicy = c.cfg.CallPolicy
+	mcfg.RandomizeBrokerChoice = true
+	mcfg.World = c.World
+	mcfg.Ontology = ontologyName
+	mcfg.Specialty = specialty
+	mcfg.PushConstraints = true
+	a, err := mrq.New(mcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -298,8 +339,7 @@ func (c *Community) AddMiner(ctx context.Context, name, ontologyName string) (*m
 // AddFleet creates, starts and advertises a fleet monitor agent: the
 // telemetry watcher of the observability layer, distinct from the
 // paper's subscription monitor (AddMonitor). It does not poll on its
-// own — callers drive Discover/PollOnce (or StartPolling) explicitly,
-// which also keeps the Section 5 experiments free of background polls.
+// own — callers drive Discover/PollOnce (or StartPolling) explicitly.
 func (c *Community) AddFleet(ctx context.Context, name string) (*fleet.Agent, error) {
 	a, err := fleet.New(fleet.Config{
 		Name:         name,

@@ -336,7 +336,7 @@ func MRQBench(opts MRQBenchOptions) (*MRQBenchResult, error) {
 
 	res := &MRQBenchResult{
 		Note: "MRQ fan-out benchmarks; the Section 5 artifacts keep the gather serial " +
-			"(community.AddMRQ pins MaxFanout=1) to model the paper's MRQ agent",
+			"(community.PaperFaithful, MaxFanout=1) to model the paper's MRQ agent",
 		Fragments:                 opts.Fragments,
 		RowsPerFragment:           opts.RowsPerFragment,
 		SimulatedCallLatency:      opts.CallLatency.String(),

@@ -5,9 +5,8 @@
 // against a flat single-shard repository and a sharded one, measuring
 // match latency (p50/p95), concurrent search throughput under churn, and
 // repository heap. Like BENCH_broker.json this measures the
-// implementation, not the paper's Section 5 evaluation — the Section 5
-// harness pins RepositoryShards to 1 so its artifacts are untouched by
-// sharding.
+// implementation, not the paper's Section 5 evaluation, which runs on the
+// flat repository of community.PaperFaithful.
 package experiments
 
 import (
@@ -319,7 +318,7 @@ func ScaleBench(opts ScaleBenchOptions) (*ScaleResult, error) {
 	})
 
 	res := &ScaleResult{
-		Note:       "sharded-repository scale sweep under concurrent churn; Section 5 artifacts pin shards=1 and are unaffected",
+		Note:       "sharded-repository scale sweep under concurrent churn; Section 5 artifacts run on the flat repository and are unaffected",
 		Quick:      opts.Quick,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}

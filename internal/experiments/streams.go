@@ -360,21 +360,12 @@ func liveRun(streams []Stream, brokers int, specialized bool, opts LiveOptions) 
 	// classes of the streams assigned to it and prunes peers.
 	streamBroker := func(si int) int { return si % brokers }
 	c, err := community.New(community.Config{
-		// CallPolicy stays nil: the Section 5 artifacts measure the
-		// paper's protocol with single-shot calls, so retries, breakers,
-		// and failover must not perturb the regenerated numbers.
+		Profile:                  community.PaperFaithful,
 		Brokers:                  brokers,
 		Transport:                tr,
 		ResourceQueryDelayPerRow: opts.RowDelay,
 		BrokerOptions: func(i int, cfg *broker.Config) {
 			cfg.SyntheticCostPerAd = opts.CostPerAd
-			// The Section 5 experiments model the original broker's
-			// uncached LDL reasoning: every query pays the full match.
-			cfg.DisableMatchCache = true
-			// Shards pinned to 1: the reproduced artifacts measure the
-			// paper's flat repository; the sharded layout is benchmarked
-			// separately by the scale sweep (BENCH_scale.json).
-			cfg.RepositoryShards = 1
 			if specialized {
 				cfg.PeerPruning = true
 				for si, s := range streams {

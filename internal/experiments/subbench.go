@@ -4,14 +4,12 @@
 // agent, registers each through the real subscribe wire form, then
 // replays a skewed change stream (80% of inserts land in the hot 10% of
 // the value domain) and measures how many standing-query re-evaluations
-// the class+region index actually performs versus the evaluate-all
-// fan-out the legacy path would do. A deliberately stalled subscriber
-// rides along at every size to prove per-subscriber sender isolation,
-// and a measured LegacyNotify run at the smallest size anchors the
-// evaluate-all baseline. Like BENCH_scale.json this measures the
-// implementation, not the paper's Section 5 evaluation — the Section 5
-// harness pins LegacyNotify, so its artifacts are untouched by the CDC
-// pipeline.
+// the class+region index actually performs versus evaluating every
+// standing query on every change (subscriptions x changes). A deliberately
+// stalled subscriber rides along at every size to prove per-subscriber
+// sender isolation. Like BENCH_scale.json this measures the
+// implementation, not the paper's Section 5 evaluation, none of whose
+// artifacts subscribes or inserts a row.
 package experiments
 
 import (
@@ -68,7 +66,7 @@ type SubBenchPoint struct {
 
 	// IndexedEvals is what the class+region index re-evaluated;
 	// SkippedEvals is what it proved disjoint without running SQL;
-	// EvalAllEvals is what the legacy path would have run
+	// EvalAllEvals is what evaluating everything would have run
 	// (subscriptions × changes). EvalFraction = indexed / evaluate-all.
 	IndexedEvals int     `json:"indexed_evals"`
 	SkippedEvals int     `json:"skipped_evals"`
@@ -92,18 +90,6 @@ type SubBenchPoint struct {
 	StalledIsolated    bool    `json:"stalled_isolated"`
 }
 
-// SubLegacyStat is the measured evaluate-all baseline: the same change
-// stream against a LegacyNotify agent carrying the smallest sweep's
-// standing queries, every change re-evaluating every one synchronously
-// on the mutation path.
-type SubLegacyStat struct {
-	Subs          int     `json:"subs"`
-	Changes       int     `json:"changes"`
-	Evals         int     `json:"evals"`
-	StreamSeconds float64 `json:"stream_seconds"`
-	Notified      int     `json:"notified"`
-}
-
 // SubBenchResult is the checked-in BENCH_subs.json shape.
 type SubBenchResult struct {
 	Note       string          `json:"note"`
@@ -111,14 +97,13 @@ type SubBenchResult struct {
 	GoMaxProcs int             `json:"gomaxprocs"`
 	QueueCap   int             `json:"queue_cap"`
 	Points     []SubBenchPoint `json:"points"`
-	Legacy     SubLegacyStat   `json:"legacy_baseline"`
 
 	// Acceptance summaries: indexed matching must beat evaluate-all at
 	// every size, and at the largest population the indexed path must
 	// run ≤5% of the evaluate-all re-evaluations.
-	EvalFractionAtMax  float64 `json:"eval_fraction_at_max"`
-	IndexedWithin5Pct  bool    `json:"indexed_within_5pct_at_max"`
-	IndexedBeatsLegacy bool    `json:"indexed_beats_eval_all"`
+	EvalFractionAtMax   float64 `json:"eval_fraction_at_max"`
+	IndexedWithin5Pct   bool    `json:"indexed_within_5pct_at_max"`
+	IndexedBeatsEvalAll bool    `json:"indexed_beats_eval_all"`
 }
 
 // subBenchDB builds the shared base table: C2(id, a) with a spread
@@ -146,18 +131,17 @@ func subBenchDB() (*relational.Database, error) {
 	return db, nil
 }
 
-func subBenchAgent(tr transport.Transport, name string, legacy bool) (*resource.Agent, error) {
+func subBenchAgent(tr transport.Transport, name string) (*resource.Agent, error) {
 	db, err := subBenchDB()
 	if err != nil {
 		return nil, err
 	}
 	ra, err := resource.New(resource.Config{
-		Name:         name,
-		Transport:    tr,
-		DB:           db,
-		Fragment:     ontology.Fragment{Ontology: "generic", Classes: []string{"C2"}},
-		World:        ontology.NewWorld(ontology.Generic()),
-		LegacyNotify: legacy,
+		Name:      name,
+		Transport: tr,
+		DB:        db,
+		Fragment:  ontology.Fragment{Ontology: "generic", Classes: []string{"C2"}},
+		World:     ontology.NewWorld(ontology.Generic()),
 	})
 	if err != nil {
 		return nil, err
@@ -204,7 +188,7 @@ func subBenchChanges(r *rand.Rand, n int) []float64 {
 func subBenchPoint(seed int64, subs, changes int) (SubBenchPoint, error) {
 	pt := SubBenchPoint{Subs: subs, Changes: changes}
 	tr := transport.NewInProc()
-	ra, err := subBenchAgent(tr, fmt.Sprintf("subbench-%d", subs), false)
+	ra, err := subBenchAgent(tr, fmt.Sprintf("subbench-%d", subs))
 	if err != nil {
 		return pt, err
 	}
@@ -333,52 +317,6 @@ func subBenchPoint(seed int64, subs, changes int) (SubBenchPoint, error) {
 	return pt, nil
 }
 
-// subBenchLegacy measures the evaluate-all baseline the CDC pipeline
-// replaces: a LegacyNotify agent re-runs every standing query
-// synchronously inside each mutation.
-func subBenchLegacy(seed int64, subs, changes int) (SubLegacyStat, error) {
-	st := SubLegacyStat{Subs: subs, Changes: changes, Evals: subs * changes}
-	tr := transport.NewInProc()
-	ra, err := subBenchAgent(tr, "subbench-legacy", true)
-	if err != nil {
-		return st, err
-	}
-	defer ra.Stop()
-	var updates atomic.Int64
-	l, err := tr.Listen("", func(msg *kqml.Message) *kqml.Message {
-		updates.Add(1)
-		return kqml.New(kqml.Tell, "subbench", &kqml.UpdateAck{})
-	})
-	if err != nil {
-		return st, err
-	}
-	defer l.Close()
-	r := rand.New(rand.NewSource(seed))
-	for i := 0; i < subs; i++ {
-		lo := int(r.Float64() * float64(subBenchDomain-subBenchWidth))
-		sql := fmt.Sprintf("SELECT id FROM C2 WHERE a BETWEEN %d AND %d", lo, lo+subBenchWidth)
-		if err := subBenchSubscribe(tr, ra, l.Addr(), sql); err != nil {
-			return st, err
-		}
-	}
-	tbl, ok := ra.DB().Table("C2")
-	if !ok {
-		return st, fmt.Errorf("no C2 table")
-	}
-	ctx := context.Background()
-	vals := subBenchChanges(r, changes)
-	start := time.Now()
-	for i, v := range vals {
-		row := relational.Row{relational.Str(fmt.Sprintf("chg-%05d", i)), relational.Num(v)}
-		if err := tbl.Insert(row); err != nil {
-			return st, err
-		}
-		st.Notified += ra.NotifyChanged(ctx)
-	}
-	st.StreamSeconds = time.Since(start).Seconds()
-	return st, nil
-}
-
 // SubBench runs the sweep and checks the acceptance bars in-run.
 func SubBench(opts SubBenchOptions) (*SubBenchResult, error) {
 	if opts.Seed == 0 {
@@ -397,7 +335,7 @@ func SubBench(opts SubBenchOptions) (*SubBenchResult, error) {
 		changes = 40
 	}
 	res := &SubBenchResult{
-		Note:       "standing-query CDC pipeline sweep: indexed matching vs evaluate-all under a skewed change stream; Section 5 artifacts pin LegacyNotify and are unaffected",
+		Note:       "standing-query CDC pipeline sweep: indexed matching vs evaluate-all under a skewed change stream",
 		Quick:      opts.Quick,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		QueueCap:   64,
@@ -409,19 +347,14 @@ func SubBench(opts SubBenchOptions) (*SubBenchResult, error) {
 		}
 		res.Points = append(res.Points, pt)
 	}
-	legacy, err := subBenchLegacy(opts.Seed, sizes[0], changes)
-	if err != nil {
-		return nil, fmt.Errorf("subbench legacy baseline: %w", err)
-	}
-	res.Legacy = legacy
 
 	last := res.Points[len(res.Points)-1]
 	res.EvalFractionAtMax = last.EvalFraction
 	res.IndexedWithin5Pct = last.EvalFraction <= 0.05
-	res.IndexedBeatsLegacy = true
+	res.IndexedBeatsEvalAll = true
 	for _, pt := range res.Points {
 		if pt.IndexedEvals >= pt.EvalAllEvals {
-			res.IndexedBeatsLegacy = false
+			res.IndexedBeatsEvalAll = false
 		}
 	}
 
@@ -434,7 +367,7 @@ func SubBench(opts SubBenchOptions) (*SubBenchResult, error) {
 			return nil, fmt.Errorf("subbench %d: %.1f KB heap per standing query exceeds the 16 KB bound", pt.Subs, pt.HeapPerSubKB)
 		}
 	}
-	if !res.IndexedBeatsLegacy {
+	if !res.IndexedBeatsEvalAll {
 		return nil, fmt.Errorf("subbench: indexed evals did not beat evaluate-all")
 	}
 	if !res.IndexedWithin5Pct {

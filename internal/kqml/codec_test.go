@@ -651,82 +651,103 @@ func benchResultMessage() *Message {
 
 var benchSink any
 
-func BenchmarkCodecEncodeResult(b *testing.B) {
+// The three codec benchmarks and TestCodecAllocs (their allocation
+// ceilings) run the same operations.
+
+// encodeResultOp sets a 128-row result as content and marshals the message.
+func encodeResultOp(tb testing.TB) (op func(), wireLen int) {
 	m := benchResultMessage()
 	var res SQLResult
 	if err := m.DecodeContent(&res); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	wire, _ := Marshal(m)
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		env := *m
 		if err := env.SetContent(&res); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		out, err := Marshal(&env)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		benchSink = out
-	}
+	}, len(wire)
 }
 
-func BenchmarkCodecDecodeResult(b *testing.B) {
+// decodeResultOp unmarshals that message and decodes its result.
+func decodeResultOp(tb testing.TB) (op func(), wireLen int) {
 	wire, err := Marshal(benchResultMessage())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(len(wire)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		m, err := Unmarshal(wire)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var res SQLResult
 		if err := m.DecodeContent(&res); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		benchSink = res
-	}
+	}, len(wire)
 }
 
-func BenchmarkCodecSmallMessage(b *testing.B) {
+// smallMessageOp is a broker-query-sized ask/tell round trip through the
+// codec, both directions.
+func smallMessageOp(tb testing.TB) func() {
 	query := &BrokerQuery{HopsLeft: 2, Query: &ontology.Query{Type: ontology.TypeResource, Ontology: "healthcare", Classes: []string{"patient"},
 		Constraints: constraint.NewSet(constraint.Atom{Field: "patient.patient_age", Interval: constraint.NewRange(43, 75)})}}
 	reply := &PingReply{Known: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		ask := New(AskAll, "MRQ1", query)
 		ask.Receiver, ask.ReplyWith, ask.Ontology = "Broker1", "q-17", ServiceOntology
 		wire, err := Marshal(ask)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		got, err := Unmarshal(wire)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var bq BrokerQuery
 		if err := got.DecodeContent(&bq); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		tell := New(Tell, "Broker1", reply)
 		tell.InReplyTo = got.ReplyWith
 		if wire, err = Marshal(tell); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if got, err = Unmarshal(wire); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var pr PingReply
 		if err := got.DecodeContent(&pr); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		benchSink = pr
 	}
 }
+
+func benchmarkCodec(b *testing.B, op func(), wireLen int) {
+	b.SetBytes(int64(wireLen))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkCodecEncodeResult(b *testing.B) {
+	op, n := encodeResultOp(b)
+	benchmarkCodec(b, op, n)
+}
+
+func BenchmarkCodecDecodeResult(b *testing.B) {
+	op, n := decodeResultOp(b)
+	benchmarkCodec(b, op, n)
+}
+
+func BenchmarkCodecSmallMessage(b *testing.B) { benchmarkCodec(b, smallMessageOp(b), 0) }

@@ -37,7 +37,7 @@ type UpdateContent struct {
 	Result SQLResult `json:"result"`
 	// Seq is the resource's change-stream sequence number for the newest
 	// event this notification covers; a subscriber can order and
-	// deduplicate updates by it. Zero on the legacy evaluate-all path.
+	// deduplicate updates by it.
 	Seq uint64 `json:"seq,omitempty"`
 	// Coalesced counts change events folded into this notification under
 	// load (the bounded queues coalesce to latest rather than block).
@@ -45,9 +45,7 @@ type UpdateContent struct {
 }
 
 // UpdateAck is a subscriber's typed acknowledgement of an update
-// notification. It replaces the historical tell + SorryContent{Reason:
-// "noted"} ack, which forced resources to parse a refusal payload to learn
-// the update landed.
+// notification.
 type UpdateAck struct {
 	// SubscriptionID echoes the subscription that fired.
 	SubscriptionID string `json:"subscription_id"`
@@ -55,10 +53,8 @@ type UpdateAck struct {
 	Seq uint64 `json:"seq,omitempty"`
 }
 
-// UnsubscribeContent cancels a standing query by subscription ID. It
-// replaces the historical abuse of unadvertise + SorryContent{Reason: id};
-// resources accept the legacy form for one release (see
-// resource.Agent's unadvertise handling) before it is removed.
+// UnsubscribeContent cancels a standing query by subscription ID, under
+// the unsubscribe performative: a message's meaning is in its performative.
 type UnsubscribeContent struct {
 	// ID is the subscription to cancel, as returned in SubscribeAck.
 	ID string `json:"id"`

@@ -67,8 +67,7 @@ type Event struct {
 	SQL string
 	// Result is the query's new answer.
 	Result kqml.SQLResult
-	// UpdateSeq is the resource's change-stream sequence number, when the
-	// resource runs the CDC pipeline (zero on the legacy path).
+	// UpdateSeq is the resource's change-stream sequence number.
 	UpdateSeq uint64
 	// Coalesced counts change events the resource folded into this
 	// notification under load.

@@ -93,10 +93,11 @@ func TestWatchAndNotify(t *testing.T) {
 		t.Fatalf("resource holds %d subscriptions", len(ra.Subscriptions()))
 	}
 
-	// No change yet: notify is a no-op.
-	if sent := ra.NotifyChanged(ctx); sent != 0 {
-		t.Errorf("unchanged data sent %d notifications", sent)
+	// No change yet: the standing query re-evaluates and sends nothing.
+	if matched, _ := ra.NotifyChange(ctx, resource.Change{Class: "C2"}); matched != 1 {
+		t.Errorf("whole-class change enqueued %d subscriptions, want 1", matched)
 	}
+	flush(t, ra)
 	if len(m.Events()) != 0 {
 		t.Fatal("spurious event")
 	}

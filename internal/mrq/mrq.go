@@ -65,8 +65,8 @@ type Config struct {
 	MaxFanout int
 	// Planner enables the federated query planner: semi-join reduction
 	// for cross-class joins, partial-aggregate pushdown, and cost-based
-	// ordering of the fragment fan-out. Off by default — the
-	// paper-faithful Section 5 path (community.AddMRQ) must never plan.
+	// ordering of the fragment fan-out. mrqd and community.Production turn
+	// it on; community.PaperFaithful never plans.
 	Planner bool
 	// SemiJoinMaxKeys caps how many distinct build-side join keys the
 	// planner pushes as an IN constraint; a larger key set falls back to

@@ -307,8 +307,7 @@ func TestOrderMatchesDeterministic(t *testing.T) {
 
 // TestOrderMatchesNoStatsDoesNotAllocate pins the planner's no-signal fast
 // path: with no stats, no advertised response times and no breakers, the
-// broker's order is returned as-is with zero allocations. CI guards this
-// with BenchmarkPlanOrderNoStats.
+// broker's order is returned as-is with zero allocations.
 func TestOrderMatchesNoStatsDoesNotAllocate(t *testing.T) {
 	a := newBareAgent(t, stats.NewQueryStats())
 	ads := []*ontology.Advertisement{benchAd("r1"), benchAd("r2"), benchAd("r3")}

@@ -61,24 +61,6 @@ type Config struct {
 	// on every query — the paper's resource model ("1 second per
 	// megabyte of data") scaled down for live experiments.
 	QueryDelayPerRow time.Duration
-
-	// SubQueueCap bounds each subscriber's pending change-event queue in
-	// the broadcast hub; <= 0 means broadcast.DefaultQueueCap. Overflow
-	// coalesces to the newest pending event rather than blocking the
-	// mutation path.
-	SubQueueCap int
-	// SubBatchWindow, when positive, lets a subscription's sender wait
-	// this long after waking so a burst of changes collapses into one
-	// re-evaluation and one notification.
-	SubBatchWindow time.Duration
-	// SubLogSize caps the /subs recent-notification ring; <= 0 means 256.
-	SubLogSize int
-	// LegacyNotify routes InsertRow through the synchronous evaluate-all
-	// NotifyChanged path instead of the CDC pipeline. The Section 5
-	// harness pins it so the paper-reproduction artifacts keep their
-	// original notification schedule; it will be removed with the legacy
-	// wire forms.
-	LegacyNotify bool
 }
 
 // Agent is a resource agent.
@@ -176,16 +158,6 @@ func (a *Agent) handle(msg *kqml.Message) *kqml.Message {
 			return a.Reply(msg, kqml.Tell, &kqml.UnsubscribeAck{ID: uc.ID})
 		}
 		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{Reason: kqml.SorryReasonUnknownSubscription})
-	case kqml.Unadvertise:
-		// Legacy cancellation form: unadvertise with the subscription id
-		// smuggled in SorryContent.Reason. Deprecated in favor of the
-		// typed kqml.Unsubscribe performative; accepted for one release
-		// (see DESIGN.md §13 migration note).
-		var sc kqml.SorryContent
-		if err := msg.DecodeContent(&sc); err == nil && a.unsubscribe(sc.Reason) {
-			return a.Reply(msg, kqml.Tell, &kqml.SorryContent{Reason: "unsubscribed"})
-		}
-		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{Reason: kqml.SorryReasonUnknownSubscription})
 	default:
 		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{
 			Reason: fmt.Sprintf("resource agent does not handle %s", msg.Performative),
@@ -194,12 +166,10 @@ func (a *Agent) handle(msg *kqml.Message) *kqml.Message {
 }
 
 // InsertRow adds a row to one of the agent's tables and pushes update
-// notifications to affected subscribers. On the default CDC path the
-// insert publishes a typed change event and returns immediately —
-// subscriptions overlapping the new row's region re-evaluate on their own
-// sender goroutines (FlushNotifications waits for them). With
-// Config.LegacyNotify the historical synchronous evaluate-all pass runs
-// instead.
+// notifications to affected subscribers: the insert publishes a typed
+// change event and returns immediately, and subscriptions overlapping the
+// new row's region re-evaluate on their own sender goroutines
+// (FlushNotifications waits for them).
 func (a *Agent) InsertRow(ctx context.Context, class string, row relational.Row) error {
 	tbl, ok := a.cfg.DB.Table(class)
 	if !ok {
@@ -207,10 +177,6 @@ func (a *Agent) InsertRow(ctx context.Context, class string, row relational.Row)
 	}
 	if err := tbl.Insert(row); err != nil {
 		return err
-	}
-	if a.cfg.LegacyNotify {
-		a.NotifyChanged(ctx)
-		return nil
 	}
 	a.NotifyChange(ctx, Change{Class: class, Rows: []relational.Row{row}})
 	return nil

@@ -29,8 +29,8 @@ var mSubscriptionEvals = telemetry.Default.Counter("infosleuth_monitor_eval_tota
 
 // mEvalSkipped counts the re-evaluations the CDC index avoided: indexed
 // subscriptions whose constraint region did not overlap a change's region.
-// Together with eval_total it measures the index's selectivity — the
-// legacy evaluate-all path would have performed eval + skipped evals.
+// Together with eval_total it measures the index's selectivity: without
+// the index, eval + skipped evaluations would have run.
 var mEvalSkipped = telemetry.Default.Counter("infosleuth_monitor_eval_skipped_total",
 	"Standing-query re-evaluations skipped because the change region did not overlap the subscription's constraint region.")
 
@@ -39,9 +39,8 @@ var mEvalSkipped = telemetry.Default.Counter("infosleuth_monitor_eval_skipped_to
 var mNotifyErrors = telemetry.Default.Counter("infosleuth_monitor_notify_errors_total",
 	"Update notifications resource agents failed to deliver to subscribers.")
 
-// defaultNotifyLogSize bounds the /subs recent-notification ring when
-// Config.SubLogSize is unset.
-const defaultNotifyLogSize = 256
+// notifyLogSize bounds the /subs recent-notification ring.
+const notifyLogSize = 256
 
 // subscription is one standing query registered by a subscriber.
 type subscription struct {
@@ -57,7 +56,7 @@ type subscription struct {
 	// unconstrained.
 	region *constraint.Set
 	// sub is the broadcast registration feeding this subscription's
-	// sender goroutine; nil only on the pure legacy path.
+	// sender goroutine.
 	sub *broadcast.Sub
 
 	mu       sync.Mutex
@@ -84,17 +83,10 @@ func (a *Agent) subs() *subscriptions {
 	a.subMu.Lock()
 	defer a.subMu.Unlock()
 	if a.subState == nil {
-		logSize := a.cfg.SubLogSize
-		if logSize <= 0 {
-			logSize = defaultNotifyLogSize
-		}
 		a.subState = &subscriptions{
 			byID: make(map[string]*subscription),
-			hub: broadcast.New(broadcast.Options{
-				QueueCap:    a.cfg.SubQueueCap,
-				BatchWindow: a.cfg.SubBatchWindow,
-			}),
-			log: newNotifyLog(logSize),
+			hub:  broadcast.New(broadcast.Options{}),
+			log:  newNotifyLog(notifyLogSize),
 		}
 	}
 	return a.subState
@@ -414,80 +406,6 @@ func (a *Agent) Subscriptions() []string {
 		out = append(out, id)
 	}
 	return out
-}
-
-// NotifyChanged is the legacy evaluate-all path: re-evaluate every
-// standing query synchronously and send an update notification to each
-// subscriber whose answer changed, returning the number sent. The Section
-// 5 harness pins this path (Config.LegacyNotify) so reproduced artifacts
-// are untouched; new code should mutate through InsertRow or call
-// NotifyChange with a typed Change.
-func (a *Agent) NotifyChanged(ctx context.Context) int {
-	s := a.subs()
-	s.mu.Lock()
-	subs := make([]*subscription, 0, len(s.byID))
-	for _, sub := range s.byID {
-		subs = append(subs, sub)
-	}
-	s.mu.Unlock()
-
-	traceID := telemetry.TraceIDFrom(ctx)
-	sent := 0
-	for _, sub := range subs {
-		start := time.Now()
-		res, err := a.Run(sub.sql)
-		mSubscriptionEvals.Inc()
-		sub.mu.Lock()
-		sub.evals++
-		sub.mu.Unlock()
-		var callErr error
-		if err == nil {
-			h := resultHash(res)
-			sub.mu.Lock()
-			changed := h != sub.lastHash
-			if changed {
-				sub.lastHash = h
-			}
-			sub.mu.Unlock()
-			if changed {
-				msg := kqml.New(kqml.Update, a.Name(), &kqml.UpdateContent{
-					SubscriptionID: sub.id,
-					SQL:            sub.sql,
-					Result:         kqml.SQLResult{Columns: res.Columns, Rows: res.Rows},
-				})
-				msg.Receiver = sub.name
-				if _, callErr = a.Call(ctx, sub.addr, msg); callErr == nil {
-					sub.mu.Lock()
-					sub.updates++
-					sub.mu.Unlock()
-					sent++
-				} else {
-					sub.mu.Lock()
-					sub.errors++
-					sub.mu.Unlock()
-					mNotifyErrors.Inc()
-				}
-			}
-		}
-		if traceID != "" {
-			span := telemetry.Span{
-				TraceID:        traceID,
-				Agent:          a.Name(),
-				Op:             telemetry.OpSubscribeEval,
-				StartUnixNano:  start.UnixNano(),
-				DurationMicros: time.Since(start).Microseconds(),
-			}
-			if err != nil {
-				span.Err = err.Error()
-			} else if callErr != nil {
-				// Delivery failures were previously invisible: the span
-				// now names the unreachable subscriber.
-				span.Err = fmt.Sprintf("notify %s: %v", sub.addr, callErr)
-			}
-			telemetry.RecordSpan(span)
-		}
-	}
-	return sent
 }
 
 // resultHash fingerprints a result for change detection; row order is

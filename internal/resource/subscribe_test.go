@@ -113,23 +113,26 @@ func TestSubscribeBaselineAndNotify(t *testing.T) {
 	if updates[0].Seq == 0 {
 		t.Error("update missing change-stream sequence number")
 	}
+}
 
-	// Cancel via the legacy form: unadvertise with the subscription id.
-	cancel := kqml.New(kqml.Unadvertise, "collector", &kqml.SorryContent{Reason: ack.ID})
-	reply, err := tr.Call(ctx, ra.Addr(), cancel)
+// TestUnadvertiseIsNotACancellation: a message means what its performative
+// says. Unadvertise carrying a subscription id is not a conversation a
+// resource agent holds, so it gets the ordinary refusal and cancels nothing.
+func TestUnadvertiseIsNotACancellation(t *testing.T) {
+	ra, tr := newResource(t)
+	col := newCollector(t, tr)
+	ack := subscribe(t, tr, ra, col.addr, "SELECT * FROM C2")
+
+	msg := kqml.New(kqml.Unadvertise, "collector", &kqml.SorryContent{Reason: ack.ID})
+	reply, err := tr.Call(context.Background(), ra.Addr(), msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Performative != kqml.Tell {
-		t.Fatalf("cancel = %s", reply.Performative)
+	if want := "resource agent does not handle unadvertise"; reply.Performative != kqml.Sorry || kqml.ReasonOf(reply) != want {
+		t.Errorf("unadvertise = %s %q, want sorry %q", reply.Performative, kqml.ReasonOf(reply), want)
 	}
-	if len(ra.Subscriptions()) != 0 {
-		t.Error("subscription not removed")
-	}
-	// Cancelling again is a sorry.
-	reply, _ = tr.Call(ctx, ra.Addr(), cancel)
-	if reply.Performative != kqml.Sorry {
-		t.Errorf("double cancel = %s", reply.Performative)
+	if n := len(ra.Subscriptions()); n != 1 {
+		t.Errorf("subscriptions = %d after unadvertise, want 1", n)
 	}
 }
 
@@ -225,7 +228,9 @@ func TestConcurrentUnsubscribeDuringNotify(t *testing.T) {
 	}
 }
 
-func TestNotifyChangedSkipsDeadSubscriber(t *testing.T) {
+// TestDeadSubscriberDoesNotStopOthers: an unreachable subscriber is
+// counted in notify_errors and every other subscriber is still served.
+func TestDeadSubscriberDoesNotStopOthers(t *testing.T) {
 	ctx := context.Background()
 	ra, tr := newResource(t)
 	col := newCollector(t, tr)
@@ -411,27 +416,6 @@ func TestSubsHandlerReportsPipeline(t *testing.T) {
 	}
 	if len(report.Recent) != 1 || report.Recent[0].SubscriptionID != ack.ID || !report.Recent[0].Changed {
 		t.Errorf("recent = %+v", report.Recent)
-	}
-}
-
-func TestLegacyNotifyPathStillSynchronous(t *testing.T) {
-	ctx := context.Background()
-	ra, tr := newResource(t, func(c *Config) { c.LegacyNotify = true })
-	col := newCollector(t, tr)
-	subscribe(t, tr, ra, col.addr, "SELECT * FROM C2")
-	err := ra.InsertRow(ctx, "C2", relational.Row{
-		relational.Str("C2-l"), relational.Num(1), relational.Num(2), relational.Num(3), relational.Num(4),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No flush: the legacy evaluate-all path delivers before InsertRow
-	// returns, exactly as the Section 5 harness expects.
-	if n := len(col.list()); n != 1 {
-		t.Fatalf("legacy updates = %d, want 1 synchronously", n)
-	}
-	if col.list()[0].Seq != 0 {
-		t.Error("legacy path must not stamp change-stream sequence numbers")
 	}
 }
 

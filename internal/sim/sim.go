@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"infosleuth/internal/des"
 	"infosleuth/internal/stats"
@@ -469,6 +470,10 @@ func (w *world) gatherFromPeers(origin *simBroker, q *query, local []int, epoch 
 		for id := range g.matches {
 			ids = append(ids, id)
 		}
+		// The order of ids is the order their transfers are charged to
+		// the shared query-agent link, so map order would make a seeded
+		// run irreproducible.
+		sort.Ints(ids)
 		w.replyToQueryAgent(origin, q, ids)
 	}
 	for _, p := range w.brokers {

@@ -46,20 +46,32 @@ func BenchmarkInstrumentedCallWithRecorder(b *testing.B) {
 // BenchmarkTailSampleDecision measures the tail-sampling decision on the
 // untraced hot path: an outcome with no trace ID feeds the per-op
 // quantile estimator and returns without pinning anything. This is the
-// cost every root operation pays once the recorder is installed, so it is
-// pinned in CI at 0 allocs/op (and must stay well under 1 µs).
+// cost every root operation pays once the recorder is installed, so
+// TestTailSampleDecisionAllocs pins it at 0 allocations (and it must stay
+// well under 1 µs).
 //
 //	go test -bench=TailSampleDecision -benchmem ./internal/telemetry/recorder
 func BenchmarkTailSampleDecision(b *testing.B) {
-	rec := New(Options{})
-	prev := telemetry.SetRootObserver(rec)
-	defer func() { telemetry.SetRootObserver(prev) }()
-	// First observation allocates the op's sampler; keep it out of the
-	// measured loop like a live daemon's steady state.
-	telemetry.ObserveRoot(telemetry.RootOutcome{Op: "bench.op", DurationMicros: 100})
+	op := tailSampleOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// tailSampleOp installs a recorder as the root observer and returns one
+// untraced sampling decision.
+func tailSampleOp(tb testing.TB) func() {
+	rec := New(Options{})
+	prev := telemetry.SetRootObserver(rec)
+	tb.Cleanup(func() { telemetry.SetRootObserver(prev) })
+	// First observation allocates the op's sampler; keep it out of the
+	// measured loop like a live daemon's steady state.
+	telemetry.ObserveRoot(telemetry.RootOutcome{Op: "bench.op", DurationMicros: 100})
+	i := 0
+	return func() {
+		i++
 		telemetry.ObserveRoot(telemetry.RootOutcome{Op: "bench.op", DurationMicros: int64(100 + i%16)})
 	}
 }
