@@ -2,11 +2,40 @@
 
 package broker
 
-import "testing"
+import (
+	"testing"
+
+	"infosleuth/internal/ontology"
+)
 
 // Not under -race: the detector makes sync.Pool drop items, so counts mean nothing.
 func TestShardDispatchAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, shardDispatchOp(t, 1)); n != 0 {
 		t.Errorf("dispatch on the flat repository allocates %.0f per op, want 0", n)
+	}
+}
+
+// TestIndexedShardMatchAllocs: an uncached class-and-range match costs what
+// it returns. The same ten ads answer the query at 1,000 and at 10,000
+// advertisements, so the two must allocate exactly alike; the ceiling is
+// one key slice, one result slice and their growth per shard with an
+// answer, and the ranking.
+func TestIndexedShardMatchAllocs(t *testing.T) {
+	const ceiling = 40
+	m := &DirectMatcher{World: ontology.NewWorld(ontology.Generic())}
+	q := churnShapedQuery("C3", 2000, 350)
+	var allocs [2]float64
+	for i, n := range []int{1_000, 10_000} {
+		repo := churnShapedRepository(t, 8, n)
+		if got, err := m.Match(repo, q); err != nil || len(got) != 10 {
+			t.Fatalf("%d ads: %d matches (%v), want 10", n, len(got), err)
+		}
+		allocs[i] = testing.AllocsPerRun(50, func() { m.Match(repo, q) })
+		if allocs[i] > ceiling {
+			t.Errorf("%d ads: an uncached 8-shard match allocates %.0f, ceiling %d", n, allocs[i], ceiling)
+		}
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("an uncached match allocates %.0f at 1,000 ads and %.0f at 10,000: it should not depend on repository size", allocs[0], allocs[1])
 	}
 }

@@ -232,15 +232,6 @@ func (b *Broker) Repository() *Repository { return b.repo }
 func (b *Broker) Advertisement() *ontology.Advertisement {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	types := make(map[ontology.AgentType]bool)
-	for _, ad := range b.repo.snapshot() {
-		types[ad.Type] = true
-	}
-	var typeList []ontology.AgentType
-	for t := range types {
-		typeList = append(typeList, t)
-	}
-	sort.Slice(typeList, func(i, j int) bool { return typeList[i] < typeList[j] })
 	return &ontology.Advertisement{
 		Name:             b.cfg.Name,
 		Address:          b.Addr(),
@@ -252,7 +243,7 @@ func (b *Broker) Advertisement() *ontology.Advertisement {
 		Broker: &ontology.BrokerInfo{
 			Community:             b.cfg.Community,
 			Consortia:             append([]string(nil), b.cfg.Consortia...),
-			AgentTypes:            typeList,
+			AgentTypes:            b.repo.agentTypes(),
 			Specializations:       append([]string(nil), b.cfg.Specializations...),
 			SpecializationClasses: append([]string(nil), b.cfg.SpecializationClasses...),
 			ConversationTypes:     []string{"delegation", "forwarding"},

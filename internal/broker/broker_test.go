@@ -153,16 +153,16 @@ func TestRepositoryIndexNarrowing(t *testing.T) {
 	r.Put(mrq)
 
 	q := &ontology.Query{Type: ontology.TypeQuery}
-	cands := r.candidates(q)
+	cands := r.candidates(nil, q)
 	if len(cands) != 1 || cands[0].Name != "MRQ" {
 		t.Errorf("type index returned %d candidates", len(cands))
 	}
 	q = &ontology.Query{Ontology: "generic", ContentLanguage: ontology.LangSQL2}
-	if got := len(r.candidates(q)); got != 11 {
+	if got := len(r.candidates(nil, q)); got != 11 {
 		t.Errorf("ontology+language index returned %d, want 11", got)
 	}
 	q = &ontology.Query{Ontology: "healthcare"}
-	if got := len(r.candidates(q)); got != 0 {
+	if got := len(r.candidates(nil, q)); got != 0 {
 		t.Errorf("unknown ontology returned %d", got)
 	}
 	// Unindexed repository scans everything but must match identically.

@@ -170,8 +170,9 @@ func (c *matchCache) compute(key string, gen uint64, fn func() ([]*ontology.Adve
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		if e := el.Value.(*matchCacheEntry); e.gen == gen {
+			matches = e.matches // read under the lock: store rewrites the entry in place
 			c.mu.Unlock()
-			return e.matches, true, nil
+			return matches, true, nil
 		}
 	}
 	if f, ok := c.flights[fkey]; ok {

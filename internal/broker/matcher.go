@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -47,29 +48,30 @@ func (m *DirectMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	cands := repo.candidates(q)
-	out := make([]*ontology.Advertisement, 0, len(cands))
+	out := m.filter(repo.candidates(m.World, q), q)
+	rankMatches(m.World, out, q)
+	return out, nil
+}
+
+// filter keeps the candidates that match. The result is what the match
+// cache stores, so it grows by append and is clipped: sized to the
+// candidates, a one-match partial used to pin a backing array as long as
+// its shard's whole ontology set for as long as it stayed cached.
+func (m *DirectMatcher) filter(cands []*ontology.Advertisement, q *ontology.Query) []*ontology.Advertisement {
+	var out []*ontology.Advertisement
 	for _, ad := range cands {
 		if ontology.Match(m.World, ad, q) == ontology.Matched {
 			out = append(out, ad)
 		}
 	}
-	rankMatches(m.World, out, q)
-	return out, nil
+	return slices.Clip(out)
 }
 
 // matchShard implements shardMatcher: filter one shard's candidates,
 // leaving ranking to the caller's final pass over the assembled union.
 // The query has already been validated by the caller.
 func (m *DirectMatcher) matchShard(repo *Repository, shard int, q *ontology.Query) ([]*ontology.Advertisement, error) {
-	cands := repo.shardCandidates(shard, q)
-	out := make([]*ontology.Advertisement, 0, len(cands))
-	for _, ad := range cands {
-		if ontology.Match(m.World, ad, q) == ontology.Matched {
-			out = append(out, ad)
-		}
-	}
-	return out, nil
+	return m.filter(repo.shardCandidates(shard, m.World, q), q), nil
 }
 
 func (m *DirectMatcher) world() *ontology.World { return m.World }

@@ -56,8 +56,6 @@ var (
 		"Cached per-shard partials dropped because a mutation bumped that shard's generation.")
 	mShardCacheEvictions = telemetry.Default.Counter("infosleuth_broker_shard_cache_evictions_total",
 		"Cached per-shard partials evicted by a shard cache's LRU capacity bound.")
-	mShardParallelGathers = telemetry.Default.Counter("infosleuth_broker_shard_parallel_gathers_total",
-		"Uncached candidate gathers fanned out across shards by the bounded worker pool.")
 )
 
 // ShardCacheStats snapshots the process-wide per-shard cache counters,

@@ -11,17 +11,18 @@ import (
 
 // Decision provenance for the matchmaking path: when a traced search has
 // a listener (the flight recorder or a per-request collector), the broker
-// re-walks the index-narrowed candidate set and emits one MatchDecision
-// per candidate — accepted ads with their ranking specificity, rejected
-// ads with the first failing check — so an explain report can answer
-// "why did agent X (not) serve my query". The walk runs only behind the
-// emitter nil-check: untraced searches and processes without provenance
-// pay nothing.
+// walks what the type, ontology and language sets admit (wider than what
+// the matcher looked at, so ads rejected by class or by constraint are
+// reported) and emits one MatchDecision per candidate — accepted ads with
+// their ranking specificity, rejected ads with the first failing check —
+// so an explain report can answer "why did agent X (not) serve my query".
+// The walk runs only behind the emitter nil-check: untraced searches and
+// processes without provenance pay nothing.
 
-// emitMatchProvenance records one MatchDecision per candidate
-// advertisement the repository indexes admit for q.
+// emitMatchProvenance records one MatchDecision per advertisement the
+// repository's type, ontology and language sets admit for q.
 func (b *Broker) emitMatchProvenance(em *provenance.Emitter, q *ontology.Query, cacheHit bool, gen uint64) {
-	cands := append([]*ontology.Advertisement(nil), b.repo.candidates(q)...)
+	cands := b.repo.rejectionCandidates(q)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Name < cands[j].Name })
 	for _, ad := range cands {
 		reason := ontology.Match(b.cfg.World, ad, q)

@@ -7,12 +7,13 @@ package broker
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"infosleuth/internal/constraint"
 	"infosleuth/internal/ontology"
 )
 
@@ -21,12 +22,6 @@ import (
 // advertisements each covers the million-advertisement target with room
 // to spare.
 const MaxRepositoryShards = 1024
-
-// maxCandidateWorkers bounds the worker pool that gathers candidates
-// across shards in parallel. More workers than cores just adds
-// scheduling churn on a read path that is already lock-free across
-// shards.
-const maxCandidateWorkers = 8
 
 // repoShard is one partition of the repository: its own advertisement
 // map, secondary indexes, lock and generation counter, so a mutation
@@ -46,6 +41,21 @@ type repoShard struct {
 	byType     map[ontology.AgentType]map[string]bool
 	byOntology map[string]map[string]bool
 	byLanguage map[string]map[string]bool
+
+	// byClass posts each agent key under every (type, ontology, class) it
+	// serves; inside a posting the keys are indexed by the numeric hull
+	// of the ad's constraints, so a class query with a range costs what
+	// it returns. A posting is deleted when its last key goes.
+	byClass map[classKey]*constraint.RegionIndex[string]
+}
+
+// classKey names one posting. The ontology is lower-cased, as byOntology
+// keys are; class names are matched exactly, as Fragment.HasClass and
+// Ontology.IsSubclassOf match them.
+type classKey struct {
+	typ      ontology.AgentType
+	ontology string
+	class    string
 }
 
 func newRepoShard() *repoShard {
@@ -54,27 +64,41 @@ func newRepoShard() *repoShard {
 		byType:     make(map[ontology.AgentType]map[string]bool),
 		byOntology: make(map[string]map[string]bool),
 		byLanguage: make(map[string]map[string]bool),
+		byClass:    make(map[classKey]*constraint.RegionIndex[string]),
 	}
 }
 
-// Repository stores advertisements with secondary indexes on agent type,
-// supported ontology and content language, so matchmaking intersects index
-// hits before running the full semantic match. It is safe for concurrent
-// use.
+// Repository stores advertisements with secondary indexes on what service
+// queries select on, so matchmaking runs the full semantic match over a
+// handful of advertisements instead of the repository. It is safe for
+// concurrent use.
 //
-// The repository is partitioned into shards addressed by the capability
-// hash of the advertisement — the FNV-1a hash of its lower-cased agent
-// name, the advertisement's stable capability identity. (The ontology
-// region cannot participate in shard addressing because Remove/Get/
-// Contains look advertisements up by name alone; a name→shard directory
-// would reintroduce the global serialization point sharding exists to
-// remove. Region locality instead lives in each shard's byOntology
-// index.) Put/Remove/Get touch exactly one shard; Search gathers
-// candidates from all shards — in parallel through a bounded worker pool
-// when the shard count and GOMAXPROCS warrant it. A single-shard
-// repository (the default, and the Section 5 configuration) behaves
-// exactly like the historical flat repository, with no dispatch
-// overhead.
+// A query that names classes is answered from the class postings: each
+// shard posts an advertisement under every (type, ontology, class) it
+// serves, and inside a posting a constraint.RegionIndex keeps the numeric
+// hull of the ad's constraints per field. A probe unions the postings of
+// the class and of its subclasses, stabbing each with the query's most
+// selective range, in O(log n + answers). A query without classes
+// intersects the type, ontology and content-language sets.
+//
+// The soundness rule is superset, then Match: candidates may return
+// advertisements that do not match (the hull treats open bounds as
+// closed, spans all of an ad's fragments on the ontology, and only one
+// class and one atom of the query are probed), but never omits one that
+// does, and ontology.Match decides. Every way to widen is therefore safe
+// and every way to narrow has to be argued; the generated differential
+// test in index_test.go holds the index to a full scan.
+//
+// The repository is partitioned into shards addressed by the FNV-1a hash
+// of the advertisement's lower-cased agent name. Placement stays
+// name-hashed rather than region-keyed: Remove/Get/Contains address an
+// advertisement by name alone, so placing by region would need a name →
+// shard directory and re-placement when an update moves an ad's region,
+// and it would buy nothing now that a probe inside a shard is
+// logarithmic. Put/Remove/Get touch exactly one shard; a search gathers
+// from every shard in turn. A single-shard repository (the default, and
+// the Section 5 configuration) behaves exactly like the historical flat
+// repository, with no dispatch overhead.
 //
 // Stored advertisements are immutable snapshots: Put clones its argument
 // once, and nothing mutates an entry afterwards — an update Puts a fresh
@@ -91,9 +115,9 @@ type Repository struct {
 	indexed bool
 
 	// snapshot memo: the sorted snapshot is recomputed only when the
-	// generation moved (the DatalogMatcher and the broker's
-	// self-advertisement summary call snapshot per operation, and used
-	// to pay a full sort every time even when nothing changed).
+	// generation moved (the DatalogMatcher and Names/All call snapshot
+	// per operation, and used to pay a full sort every time even when
+	// nothing changed).
 	snapMu  sync.Mutex
 	snapGen uint64
 	snap    []*ontology.Advertisement // nil = no memo
@@ -286,6 +310,25 @@ func (r *Repository) LenNonBroker() int {
 	return n
 }
 
+// agentTypes returns the types of the stored advertisements, sorted: the
+// broker's specialization by agent type in its own advertisement. It reads
+// the shards' type sets, so an advertise reply costs the number of types
+// and not a sorted snapshot of the repository.
+func (r *Repository) agentTypes() []ontology.AgentType {
+	var out []ontology.AgentType
+	for _, s := range r.shards {
+		s.mu.RLock()
+		for t, keys := range s.byType {
+			if len(keys) > 0 && !slices.Contains(out, t) {
+				out = append(out, t)
+			}
+		}
+		s.mu.RUnlock()
+	}
+	slices.Sort(out)
+	return out
+}
+
 // Names returns the advertised agent names, sorted. It reads through the
 // memoized snapshot, so repeated calls between mutations pay no sort.
 func (r *Repository) Names() []string {
@@ -333,6 +376,14 @@ func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
 	for _, l := range ad.ContentLanguages {
 		addTo(s.byLanguage, l)
 	}
+	eachClassPosting(ad, func(k classKey, regions []*constraint.Set) {
+		p := s.byClass[k]
+		if p == nil {
+			p = constraint.NewRegionIndex[string]()
+			s.byClass[k] = p
+		}
+		p.Add(key, regions)
+	})
 }
 
 func (s *repoShard) unindexLocked(key string) {
@@ -347,84 +398,166 @@ func (s *repoShard) unindexLocked(key string) {
 	for _, l := range ad.ContentLanguages {
 		delete(s.byLanguage[strings.ToLower(l)], key)
 	}
+	eachClassPosting(ad, func(k classKey, regions []*constraint.Set) {
+		p := s.byClass[k]
+		if p.Remove(key, regions); p.Len() == 0 {
+			delete(s.byClass, k)
+		}
+	})
 }
 
-// candidates returns the advertisement pointers a query could match,
-// narrowed by the secondary indexes when possible. The returned ads are
-// the repository's immutable snapshots: callers must not mutate them.
-// The result order is unspecified — every caller (the matchers, the
-// provenance re-walk) re-orders deterministically, so candidates does
-// not pay for a sort of its own.
-//
-// On a multi-shard repository the per-shard gathers run through a
-// bounded worker pool when enough cores are available; each shard is
-// internally consistent under its own read lock, and no lock is held
-// across shards.
-func (r *Repository) candidates(q *ontology.Query) []*ontology.Advertisement {
-	if len(r.shards) == 1 {
-		return r.shards[0].candidates(q, r.indexed)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(r.shards) {
-		workers = len(r.shards)
-	}
-	if workers > maxCandidateWorkers {
-		workers = maxCandidateWorkers
-	}
-	if workers <= 1 {
-		var out []*ontology.Advertisement
-		for _, s := range r.shards {
-			out = append(out, s.candidates(q, r.indexed)...)
-		}
-		return out
-	}
-	mShardParallelGathers.Inc()
-	results := make([][]*ontology.Advertisement, len(r.shards))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(r.shards) {
-					return
-				}
-				results[i] = r.shards[i].candidates(q, r.indexed)
+// eachClassPosting calls fn once for every posting the advertisement
+// belongs under, with the regions it is indexed by there. ontology.Match
+// accepts an ad when any of its fragments on the query's ontology
+// overlaps the query, not only the fragment serving the class, so the
+// regions are the constraints of all of them. Stored ads are immutable,
+// so unindexing walks exactly what indexing walked.
+func eachClassPosting(ad *ontology.Advertisement, fn func(k classKey, regions []*constraint.Set)) {
+	var seenBuf [4]classKey
+	seen := seenBuf[:0]
+	for i := range ad.Content {
+		f := &ad.Content[i]
+		var regions []*constraint.Set
+		for _, class := range f.Classes {
+			k := classKey{ad.Type, strings.ToLower(f.Ontology), class}
+			if slices.Contains(seen, k) {
+				continue
 			}
-		}()
+			seen = append(seen, k)
+			if regions == nil {
+				for j := range ad.Content {
+					if g := &ad.Content[j]; strings.EqualFold(g.Ontology, f.Ontology) {
+						regions = append(regions, g.Constraints)
+					}
+				}
+			}
+			fn(k, regions)
+		}
 	}
-	wg.Wait()
-	n := 0
-	for _, part := range results {
-		n += len(part)
+}
+
+// candidates returns a superset of the advertisements matching q: the
+// class postings' answer when the query names classes, the type, ontology
+// and language sets' intersection otherwise, and everything on an
+// unindexed repository. w supplies the subclass hierarchy; nil means none.
+// The returned ads are the repository's immutable snapshots: callers must
+// not mutate them. The result order is unspecified — every caller re-orders
+// deterministically, so candidates does not pay for a sort of its own.
+//
+// Shards are gathered one after another, each internally consistent under
+// its own read lock, and no lock is held across shards.
+func (r *Repository) candidates(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
+	if len(r.shards) == 1 {
+		return r.shardCandidates(0, w, q)
 	}
-	out := make([]*ontology.Advertisement, 0, n)
-	for _, part := range results {
-		out = append(out, part...)
+	var out []*ontology.Advertisement
+	for i := range r.shards {
+		out = append(out, r.shardCandidates(i, w, q)...)
 	}
 	return out
 }
 
 // shardCandidates gathers one shard's candidates — the per-shard match
 // cache's recompute unit.
-func (r *Repository) shardCandidates(i int, q *ontology.Query) []*ontology.Advertisement {
-	return r.shards[i].candidates(q, r.indexed)
+func (r *Repository) shardCandidates(i int, w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
+	s := r.shards[i]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	switch {
+	case !r.indexed:
+		return s.unsortedLocked()
+	case q.Ontology != "" && len(q.Classes) > 0:
+		return s.classCandidatesLocked(w, q)
+	default:
+		return s.setCandidatesLocked(q)
+	}
 }
 
-// candidates narrows one shard's advertisements by its secondary
-// indexes. The output slice is sized by the post-intersection estimate
+// rejectionCandidates returns what the type, ontology and language sets
+// admit even when the query names classes: the explain walk reports the
+// advertisements a query rejected by class or by constraint, which the
+// class postings exist to never look at.
+func (r *Repository) rejectionCandidates(q *ontology.Query) []*ontology.Advertisement {
+	var out []*ontology.Advertisement
+	for _, s := range r.shards {
+		s.mu.RLock()
+		out = append(out, s.setCandidatesLocked(q)...)
+		s.mu.RUnlock()
+	}
+	return out
+}
+
+// classCandidatesLocked answers a query that names classes from the class
+// postings. ontology.Match requires every query class to be served, by
+// the class itself or a subclass, so the postings of any one query class
+// and its descendants hold every match; the class with the fewest keys
+// posted is probed and the rest are left to Match.
+func (s *repoShard) classCandidatesLocked(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
+	ont := w.Ontology(q.Ontology)
+	oname := strings.ToLower(q.Ontology)
+	class := q.Classes[0]
+	if len(q.Classes) > 1 {
+		fewest := -1
+		for _, c := range q.Classes {
+			n := 0
+			s.eachPostingLocked(q.Type, oname, c, ont, func(p *constraint.RegionIndex[string]) { n += p.Len() })
+			if fewest < 0 || n < fewest {
+				class, fewest = c, n
+			}
+		}
+	}
+	var keys []string
+	postings := 0
+	s.eachPostingLocked(q.Type, oname, class, ont, func(p *constraint.RegionIndex[string]) {
+		keys = p.AppendCandidates(keys, q.Constraints)
+		postings++
+	})
+	if postings > 1 {
+		// An ad serving both a class and its subclass is posted under
+		// each.
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
+	}
+	out := make([]*ontology.Advertisement, len(keys))
+	for i, key := range keys {
+		out[i] = s.ads[key]
+	}
+	return out
+}
+
+// eachPostingLocked calls fn with every posting a query for class has to
+// look in: the class and its subclasses in ont (nil: no hierarchy), for
+// the given agent type or, for TypeAny, for every type the shard holds.
+func (s *repoShard) eachPostingLocked(typ ontology.AgentType, oname, class string, ont *ontology.Ontology, fn func(*constraint.RegionIndex[string])) {
+	expand := func(t ontology.AgentType) {
+		if p := s.byClass[classKey{t, oname, class}]; p != nil {
+			fn(p)
+		}
+		if ont == nil {
+			return
+		}
+		for _, sub := range ont.Descendants(class) {
+			if p := s.byClass[classKey{t, oname, sub}]; p != nil {
+				fn(p)
+			}
+		}
+	}
+	if typ != ontology.TypeAny {
+		expand(typ)
+		return
+	}
+	for t := range s.byType {
+		expand(t)
+	}
+}
+
+// setCandidatesLocked intersects the shard's type, ontology and language
+// sets. The output slice is sized by the post-intersection estimate
 // under an independence assumption (|A∩B| ≈ |A|·|B|/N), not by the
 // smallest index set — with several index sets the intersection is
 // usually far smaller than any one of them, and the old
 // len(smallest)-capacity slice wasted most of its backing array.
-func (s *repoShard) candidates(q *ontology.Query, indexed bool) []*ontology.Advertisement {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if !indexed {
-		return s.unsortedLocked()
-	}
+func (s *repoShard) setCandidatesLocked(q *ontology.Query) []*ontology.Advertisement {
 	var sets []map[string]bool
 	if q.Type != ontology.TypeAny {
 		sets = append(sets, s.byType[q.Type])
@@ -498,10 +631,10 @@ func intersectionEstimate(sets []map[string]bool, total int) int {
 
 // snapshot returns every stored advertisement as shared immutable
 // snapshots, sorted by name. Package-internal: callers must not mutate
-// the ads or the slice (the DatalogMatcher's fact-assertion pass, the
-// broker's self-advertisement summary, Names/All). The sorted slice is
-// memoized per generation: repeated calls between mutations return the
-// same slice without re-collecting or re-sorting.
+// the ads or the slice (the DatalogMatcher's fact-assertion pass,
+// Names/All). The sorted slice is memoized per generation: repeated calls
+// between mutations return the same slice without re-collecting or
+// re-sorting.
 func (r *Repository) snapshot() []*ontology.Advertisement {
 	gen := r.Generation()
 	r.snapMu.Lock()

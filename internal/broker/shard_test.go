@@ -539,7 +539,7 @@ func BenchmarkCandidatesIntersection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := r.candidates(q); len(got) != 8 {
+		if got := r.candidates(nil, q); len(got) != 8 {
 			b.Fatalf("candidates = %d, want 8", len(got))
 		}
 	}

@@ -167,12 +167,22 @@ func NewWorld(onts ...*Ontology) *World {
 	return w
 }
 
-// Ontology returns a domain ontology by name, or nil.
+// Ontology returns a domain ontology by name, or nil. A name not
+// registered as written is looked up without regard to case, the way
+// fragments' ontology names are compared.
 func (w *World) Ontology(name string) *Ontology {
 	if w == nil {
 		return nil
 	}
-	return w.Ontologies[name]
+	if o, ok := w.Ontologies[name]; ok {
+		return o
+	}
+	for n, o := range w.Ontologies {
+		if strings.EqualFold(n, name) {
+			return o
+		}
+	}
+	return nil
 }
 
 // MatchReason explains why an advertisement was rejected; empty means it
@@ -227,32 +237,23 @@ func Match(w *World, ad *Advertisement, q *Query) MatchReason {
 
 	// Semantic brokering: content (ontology, classes, slots, constraints).
 	if q.Ontology != "" {
-		frags := fragmentsFor(ad, q.Ontology)
-		if len(frags) == 0 {
+		if !anyFragment(ad, q.Ontology, func(*Fragment) bool { return true }) {
 			return RejectOntology
 		}
 		ont := w.Ontology(q.Ontology)
 		for _, class := range q.Classes {
-			if !anyFragmentServesClass(frags, class, ont) {
+			if !anyFragment(ad, q.Ontology, func(f *Fragment) bool { return f.servesClass(class, ont) }) {
 				return RejectClass
 			}
 		}
 		for _, slot := range q.Slots {
-			if !anyFragmentExposesSlot(frags, slot, ont) {
+			if !anyFragment(ad, q.Ontology, func(f *Fragment) bool { return f.exposesSlot(slot, ont) }) {
 				return RejectSlot
 			}
 		}
-		if q.Constraints.Len() > 0 {
-			overlap := false
-			for _, f := range frags {
-				if f.Constraints.Overlaps(q.Constraints) {
-					overlap = true
-					break
-				}
-			}
-			if !overlap {
-				return RejectConstraints
-			}
+		if q.Constraints.Len() > 0 &&
+			!anyFragment(ad, q.Ontology, func(f *Fragment) bool { return f.Constraints.Overlaps(q.Constraints) }) {
+			return RejectConstraints
 		}
 	}
 
@@ -276,22 +277,15 @@ func Match(w *World, ad *Advertisement, q *Query) MatchReason {
 func Specificity(w *World, ad *Advertisement, q *Query) int {
 	score := 0
 	if q.Ontology != "" {
-		frags := fragmentsFor(ad, q.Ontology)
 		for _, class := range q.Classes {
-			for _, f := range frags {
-				if f.HasClass(class) {
-					score++
-					break
-				}
+			if anyFragment(ad, q.Ontology, func(f *Fragment) bool { return f.HasClass(class) }) {
+				score++
 			}
 		}
-		if q.Constraints.Len() > 0 {
-			for _, f := range frags {
-				if f.Constraints.Len() > 0 && q.Constraints.Covers(f.Constraints) {
-					score++
-					break
-				}
-			}
+		if q.Constraints.Len() > 0 && anyFragment(ad, q.Ontology, func(f *Fragment) bool {
+			return f.Constraints.Len() > 0 && q.Constraints.Covers(f.Constraints)
+		}) {
+			score++
 		}
 	}
 	for _, cap := range q.Capabilities {
@@ -309,42 +303,41 @@ func satisfiesCapability(w *World, advertised []string, requested string) bool {
 	return containsFold(advertised, requested)
 }
 
-func fragmentsFor(ad *Advertisement, ontologyName string) []*Fragment {
-	var out []*Fragment
+// anyFragment reports whether some fragment of the advertisement on the
+// named ontology satisfies ok. It walks ad.Content in place: Match and
+// Specificity run once per candidate, and a slice of fragments per call
+// was their only allocation.
+func anyFragment(ad *Advertisement, ontologyName string, ok func(*Fragment) bool) bool {
 	for i := range ad.Content {
-		if strings.EqualFold(ad.Content[i].Ontology, ontologyName) {
-			out = append(out, &ad.Content[i])
-		}
-	}
-	return out
-}
-
-// anyFragmentServesClass checks class service with subclass reasoning: a
-// fragment serving class C answers queries about C and about any superclass
-// of C (its instances are instances of the superclass).
-func anyFragmentServesClass(frags []*Fragment, class string, ont *Ontology) bool {
-	for _, f := range frags {
-		if f.HasClass(class) {
+		if f := &ad.Content[i]; strings.EqualFold(f.Ontology, ontologyName) && ok(f) {
 			return true
 		}
-		if ont != nil {
-			for _, served := range f.Classes {
-				if ont.IsSubclassOf(served, class) {
-					return true
-				}
+	}
+	return false
+}
+
+// servesClass checks class service with subclass reasoning: a fragment
+// serving class C answers queries about C and about any superclass of C
+// (its instances are instances of the superclass).
+func (f *Fragment) servesClass(class string, ont *Ontology) bool {
+	if f.HasClass(class) {
+		return true
+	}
+	if ont != nil {
+		for _, served := range f.Classes {
+			if ont.IsSubclassOf(served, class) {
+				return true
 			}
 		}
 	}
 	return false
 }
 
-func anyFragmentExposesSlot(frags []*Fragment, slot string, ont *Ontology) bool {
-	for _, f := range frags {
-		for _, class := range f.Classes {
-			for _, s := range f.SlotsFor(class, ont) {
-				if strings.EqualFold(s, slot) {
-					return true
-				}
+func (f *Fragment) exposesSlot(slot string, ont *Ontology) bool {
+	for _, class := range f.Classes {
+		for _, s := range f.SlotsFor(class, ont) {
+			if strings.EqualFold(s, slot) {
+				return true
 			}
 		}
 	}

@@ -56,11 +56,14 @@ type Class struct {
 type Ontology struct {
 	Name    string
 	classes map[string]*Class
+	// descendants lists each class's transitive subclasses, kept by
+	// AddClass so that expanding a class costs a map lookup.
+	descendants map[string][]string
 }
 
 // New returns an empty ontology with the given name.
 func New(name string) *Ontology {
-	return &Ontology{Name: name, classes: make(map[string]*Class)}
+	return &Ontology{Name: name, classes: make(map[string]*Class), descendants: make(map[string][]string)}
 }
 
 // AddClass registers a class. It returns an error if the class is already
@@ -77,6 +80,9 @@ func (o *Ontology) AddClass(c Class) error {
 	cp := c
 	cp.Slots = append([]string(nil), c.Slots...)
 	o.classes[c.Name] = &cp
+	for cur := c.IsA; cur != ""; cur = o.classes[cur].IsA {
+		o.descendants[cur] = append(o.descendants[cur], c.Name)
+	}
 	return nil
 }
 
@@ -185,6 +191,12 @@ func (o *Ontology) IsSubclassOf(sub, super string) bool {
 	}
 	return false
 }
+
+// Descendants returns the transitive subclasses of a class (every other
+// name for which IsSubclassOf(name, class) holds), or nil for a leaf or an
+// unknown class. The slice is the ontology's own: callers must not modify
+// it.
+func (o *Ontology) Descendants(class string) []string { return o.descendants[class] }
 
 // SlotsOf returns the slots of a class including those inherited from its
 // superclasses, in declaration order (superclass slots first), without

@@ -1,6 +1,8 @@
 package ontology
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"infosleuth/internal/constraint"
@@ -22,6 +24,31 @@ func TestOntologyClassHierarchy(t *testing.T) {
 	}
 	if o.IsSubclassOf("nonexistent", "physician") {
 		t.Error("unknown class is not a subclass of anything")
+	}
+}
+
+// TestOntologyDescendants: Descendants(c) is exactly the other names n with
+// IsSubclassOf(n, c), which is what lets a class probe expand a query class
+// the way Match reasons about it.
+func TestOntologyDescendants(t *testing.T) {
+	o := New("chain")
+	o.MustAddClass(Class{Name: "a"})
+	o.MustAddClass(Class{Name: "b", IsA: "a"})
+	o.MustAddClass(Class{Name: "c", IsA: "b"})
+	o.MustAddClass(Class{Name: "b2", IsA: "a"})
+	o.MustAddClass(Class{Name: "lone"})
+	for _, class := range append(o.Classes(), "unknown") {
+		var want []string
+		for _, n := range o.Classes() {
+			if n != class && o.IsSubclassOf(n, class) {
+				want = append(want, n)
+			}
+		}
+		got := append([]string(nil), o.Descendants(class)...)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Descendants(%q) = %v, want %v", class, got, want)
+		}
 	}
 }
 
