@@ -9,8 +9,9 @@
 // paper); the broker pings its advertised agents periodically and drops
 // the ones that have died (Section 2.2).
 //
-// -shards partitions the advertisement repository (DESIGN.md §12) for
-// large-repository deployments; the default 1 keeps the flat layout.
+// The broker matches with the compiled matcher behind the match cache
+// (DESIGN.md §7, §12); the LDL-style Datalog engine is the test oracle
+// and is not selectable here.
 //
 // With -metrics-addr the daemon also exposes /metrics, /metrics.json,
 // /healthz, /readyz (ready once the broker is listening and joined to its
@@ -52,8 +53,6 @@ func main() {
 		pingEvery   = flag.Duration("ping-interval", 60*time.Second, "agent liveness ping interval (0 disables)")
 		maxHops     = flag.Int("max-hops", 4, "maximum inter-broker hop count")
 		peerPruning = flag.Bool("peer-pruning", false, "prune peers by advertised specialization")
-		useDatalog  = flag.Bool("datalog", false, "use the LDL-style Datalog matcher instead of the compiled one")
-		shards      = flag.Int("shards", 1, "advertisement repository shards (rounded up to a power of two; 1 = flat repository)")
 		opts        daemon.Options
 	)
 	opts.AddFlags(flag.CommandLine)
@@ -76,22 +75,18 @@ func main() {
 
 	world := ontology.NewWorld(ontology.Generic(), ontology.Healthcare())
 	cfg := broker.Config{
-		Name:             *name,
-		Address:          *listen,
-		Transport:        &transport.TCP{},
-		World:            world,
-		MaxHopCount:      *maxHops,
-		Community:        *community,
-		Consortia:        []string{*consortium},
-		PeerPruning:      *peerPruning,
-		CallPolicy:       opts.CallPolicy(),
-		RepositoryShards: *shards,
+		Name:        *name,
+		Address:     *listen,
+		Transport:   &transport.TCP{},
+		World:       world,
+		MaxHopCount: *maxHops,
+		Community:   *community,
+		Consortia:   []string{*consortium},
+		PeerPruning: *peerPruning,
+		CallPolicy:  opts.CallPolicy(),
 	}
 	if *specialize != "" {
 		cfg.Specializations = strings.Split(*specialize, ",")
-	}
-	if *useDatalog {
-		cfg.Matcher = &broker.DatalogMatcher{World: world}
 	}
 	b, err := broker.New(cfg)
 	if err != nil {

@@ -165,17 +165,13 @@ func main() {
 		fmt.Printf("  aggregate bytes/query: %d full, %d planned (%.1fx reduction)\n",
 			res.Aggregate.FetchBytesPerOpFull, res.Aggregate.FetchBytesPerOpPlanned, res.Aggregate.ReductionX)
 	}
-	// The scale sweep measures the sharded repository against the flat
-	// one under churn (BENCH_scale.json); explicit-only, like bench. With
-	// -quick it doubles as the CI smoke test. Until the class-and-range
-	// index the run failed unless sharded out-ran flat; with a miss
-	// costing microseconds the flat repository is simply fast (one cache
-	// lookup per search instead of one per shard), so the run now fails
-	// on what still matters about a growing repository: the sharded p95
-	// must grow sublinearly with the advertisements, and the largest
-	// size must sustain scaleShardedFloor searches a second (1M ads on
-	// 256 shards did 23/s before the index and 37,000/s after, at
-	// GOMAXPROCS=1).
+	// The scale sweep measures the repository from 10k to 1M ads under
+	// churn (BENCH_scale.json); explicit-only, like bench. With -quick it
+	// doubles as the CI smoke test, and fails on what matters about a
+	// growing repository: the p95 must grow sublinearly with the
+	// advertisements, and the largest size must sustain scaleFloor
+	// searches a second (1M ads did 1.5/s before the class-and-range
+	// index, at GOMAXPROCS=1).
 	if want["scale"] {
 		res, err := experiments.WriteScaleBench(*scaleOut, experiments.ScaleBenchOptions{Quick: *quick, Seed: *seed})
 		if err != nil {
@@ -183,22 +179,20 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *scaleOut)
 		for _, pt := range res.Points {
-			fmt.Printf("  %7d ads: flat %6.0f/s p95 %8.0fµs | sharded(%d) %6.0f/s p95 %8.0fµs | gain %.1fx\n",
-				pt.Ads, pt.Flat.ThroughputPerSec, pt.Flat.SearchP95Micros,
-				pt.Sharded.Shards, pt.Sharded.ThroughputPerSec, pt.Sharded.SearchP95Micros,
-				pt.ThroughputGainX)
+			fmt.Printf("  %7d ads: %6.0f searches/s, p95 %8.0fµs, heap %7.1f MB\n",
+				pt.Ads, pt.ThroughputPerSec, pt.SearchP95Micros, pt.RepoHeapMB)
 		}
-		fmt.Printf("  ads grew %.0fx, sharded p95 grew %.1fx (sublinear: %v)\n",
-			res.AdsGrowthX, res.ShardedP95GrowthX, res.ShardedP95Sublinear)
-		const scaleShardedFloor = 10_000
+		fmt.Printf("  ads grew %.0fx, p95 grew %.1fx (sublinear: %v)\n",
+			res.AdsGrowthX, res.P95GrowthX, res.P95Sublinear)
+		const scaleFloor = 10_000
 		last := res.Points[len(res.Points)-1]
-		if !res.ShardedP95Sublinear {
-			log.Fatalf("scale: ads grew %.0fx and the sharded p95 grew %.1fx: not sublinear",
-				res.AdsGrowthX, res.ShardedP95GrowthX)
+		if !res.P95Sublinear {
+			log.Fatalf("scale: ads grew %.0fx and the p95 grew %.1fx: not sublinear",
+				res.AdsGrowthX, res.P95GrowthX)
 		}
-		if last.Sharded.ThroughputPerSec < scaleShardedFloor {
-			log.Fatalf("scale: sharded throughput %.0f/s at %d ads, floor %d/s",
-				last.Sharded.ThroughputPerSec, last.Ads, scaleShardedFloor)
+		if last.ThroughputPerSec < scaleFloor {
+			log.Fatalf("scale: throughput %.0f/s at %d ads, floor %d/s",
+				last.ThroughputPerSec, last.Ads, scaleFloor)
 		}
 	}
 	// The subscription sweep measures the CDC pipeline's indexed standing

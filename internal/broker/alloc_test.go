@@ -9,30 +9,31 @@ import (
 )
 
 // Not under -race: the detector makes sync.Pool drop items, so counts mean nothing.
-func TestShardDispatchAllocs(t *testing.T) {
-	if n := testing.AllocsPerRun(100, shardDispatchOp(t, 1)); n != 0 {
-		t.Errorf("dispatch on the flat repository allocates %.0f per op, want 0", n)
+func TestRepositoryLookupAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, repositoryLookupOp(t)); n != 0 {
+		t.Errorf("Contains + Generation allocates %.0f per op, want 0", n)
 	}
 }
 
-// TestIndexedShardMatchAllocs: an uncached class-and-range match costs what
-// it returns. The same ten ads answer the query at 1,000 and at 10,000
-// advertisements, so the two must allocate exactly alike; the ceiling is
-// one key slice, one result slice and their growth per shard with an
-// answer, and the ranking.
-func TestIndexedShardMatchAllocs(t *testing.T) {
-	const ceiling = 40
+// TestIndexedMatchAllocs: an uncached class-and-range match costs what it
+// returns. The same ten ads answer the query at 1,000 and at 10,000
+// advertisements, so the two must allocate exactly alike. The ceiling is
+// the measured cost of one posting probe, 11: the probe's key slice and
+// the filtered result, each grown by append to ten (five allocations
+// apiece), and the candidate array.
+func TestIndexedMatchAllocs(t *testing.T) {
+	const ceiling = 11
 	m := &DirectMatcher{World: ontology.NewWorld(ontology.Generic())}
 	q := churnShapedQuery("C3", 2000, 350)
 	var allocs [2]float64
 	for i, n := range []int{1_000, 10_000} {
-		repo := churnShapedRepository(t, 8, n)
+		repo := churnShapedRepository(t, n)
 		if got, err := m.Match(repo, q); err != nil || len(got) != 10 {
 			t.Fatalf("%d ads: %d matches (%v), want 10", n, len(got), err)
 		}
 		allocs[i] = testing.AllocsPerRun(50, func() { m.Match(repo, q) })
 		if allocs[i] > ceiling {
-			t.Errorf("%d ads: an uncached 8-shard match allocates %.0f, ceiling %d", n, allocs[i], ceiling)
+			t.Errorf("%d ads: an uncached match allocates %.0f, ceiling %d", n, allocs[i], ceiling)
 		}
 	}
 	if allocs[0] != allocs[1] {

@@ -83,10 +83,12 @@ type Config struct {
 	// cache, so every query re-runs the matching engine: the original
 	// LDL broker's behavior, part of community.PaperFaithful.
 	DisableMatchCache bool
-	// RepositoryShards partitions the advertisement repository into this
-	// many independently locked, indexed, and generation-stamped shards
-	// (rounded up to a power of two). Zero or one keeps the flat
-	// single-shard repository.
+	// RepositoryShards is ignored: the repository is one flat,
+	// indexed map.
+	//
+	// Deprecated: the sharded repository was deleted when it lost to
+	// the flat one at every size. The field is kept only because
+	// benchmark/ sets it.
 	RepositoryShards int
 	// CallTimeout bounds each outgoing call; zero means 10 s.
 	CallTimeout time.Duration
@@ -166,10 +168,9 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b := &Broker{
 		cfg:   cfg,
-		repo:  NewShardedRepository(cfg.RepositoryShards),
+		repo:  NewRepository(),
 		peers: make(map[string]peer),
 	}
-	mShardCount.With(cfg.Name).Set(float64(b.repo.Shards()))
 	b.matcher = cfg.Matcher
 	if b.matcher == nil {
 		b.matcher = &DirectMatcher{World: cfg.World}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"infosleuth/internal/ontology"
-	"infosleuth/internal/telemetry"
 )
 
 // Match caching. A broker serving a steady query stream sees the same
@@ -18,48 +17,20 @@ import (
 // Matcher.Match memoizes results keyed on a canonical serialization of
 // the query, stamped with the repository generation at compute time.
 //
-// On a single-shard repository (and for engines that cannot match one
-// shard at a time, like the DatalogMatcher) the cache memoizes the whole
-// ranked result under the global generation: any Put/Remove invalidates
-// every entry at once, with no bookkeeping on the mutation path beyond
-// one atomic increment — the original PR 2 design.
-//
-// On a sharded repository fronted by a shard-capable engine the cache
-// instead memoizes one PARTIAL result per (query, shard), stamped with
-// that shard's generation. A mutation bumps only its own shard's
-// generation, so it invalidates only the partials whose candidate set
-// drew from that shard; the next identical query recomputes that one
-// shard's partial and reuses every other shard's, then re-ranks the
-// assembled union through rankMatches — whose deterministic
-// (score desc, name asc) total order keeps the result byte-identical to
-// a flat whole-repository match. Under churn this turns the
-// invalidation cost of a mutation from O(repository) into
-// O(repository/shards), which is where the scale harness's throughput
-// headroom comes from.
+// Any Put/Remove invalidates every entry at once, with no bookkeeping on
+// the mutation path beyond one atomic increment.
 //
 // Concurrent identical computations — the Flood fan-in case, where one
 // client query arrives at a broker once directly and again via peers —
-// are deduplicated singleflight-style per (query, generation) in the
-// whole-result path and per (query, shard, generation) in the sharded
-// path.
+// are deduplicated singleflight-style per (query, generation).
 //
 // The cache deliberately memoizes only the matcher's relation (which ads
 // match, in rank order). It does not cache anything per-conversation:
 // traced queries still stamp their own spans, counters still count every
 // arrival, and hop/policy handling runs per request.
 
-// DefaultMatchCacheCapacity bounds cached distinct queries per broker (per
-// shard, on a sharded repository).
+// DefaultMatchCacheCapacity bounds cached distinct queries per broker.
 const DefaultMatchCacheCapacity = 256
-
-// cacheMetrics routes a matchCache's accounting, so the whole-result
-// cache and the per-shard partial caches report into separate metric
-// families.
-type cacheMetrics struct {
-	invalidations *telemetry.Counter
-	evictions     *telemetry.Counter
-	entries       *telemetry.Gauge // nil: resident count not tracked
-}
 
 // matchCacheEntry is one memoized result.
 type matchCacheEntry struct {
@@ -80,7 +51,6 @@ type matchFlight struct {
 // singleflight deduplication. Safe for concurrent use.
 type matchCache struct {
 	cap int
-	met cacheMetrics
 
 	mu      sync.Mutex
 	entries map[string]*list.Element // canonical key -> *matchCacheEntry element
@@ -88,10 +58,9 @@ type matchCache struct {
 	flights map[string]*matchFlight  // "key@gen" -> in-progress computation
 }
 
-func newMatchCache(capacity int, met cacheMetrics) *matchCache {
+func newMatchCache(capacity int) *matchCache {
 	return &matchCache{
 		cap:     capacity,
-		met:     met,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 		flights: make(map[string]*matchFlight),
@@ -112,7 +81,7 @@ func (c *matchCache) lookup(key string, gen uint64) ([]*ontology.Advertisement, 
 	if e.gen != gen {
 		c.lru.Remove(el)
 		delete(c.entries, key)
-		c.met.invalidations.Inc()
+		mMatchCacheInvalidations.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
@@ -144,11 +113,9 @@ func (c *matchCache) store(key string, gen uint64, matches []*ontology.Advertise
 		old := c.lru.Back()
 		c.lru.Remove(old)
 		delete(c.entries, old.Value.(*matchCacheEntry).key)
-		c.met.evictions.Inc()
+		mMatchCacheEvictions.Inc()
 	}
-	if c.met.entries != nil {
-		c.met.entries.Set(float64(c.lru.Len()))
-	}
+	mMatchCacheEntries.Set(float64(c.lru.Len()))
 }
 
 // compute runs fn once per (key, generation) across concurrent callers:
@@ -207,61 +174,23 @@ func (c *matchCache) len() int {
 	return c.lru.Len()
 }
 
-// CachedMatcher memoizes an inner Matcher's results in
-// generation-invalidated LRUs — one whole-result cache on flat
-// repositories, one partial-result cache per shard on sharded ones (see
-// the package comment above). It implements Matcher and is what Broker
-// installs in front of the configured engine unless
-// Config.DisableMatchCache is set.
+// CachedMatcher memoizes an inner Matcher's results in a
+// generation-invalidated LRU (see the package comment above). It
+// implements Matcher and is what Broker installs in front of the
+// configured engine unless Config.DisableMatchCache is set.
 type CachedMatcher struct {
 	// Inner is the matching engine computing misses.
-	Inner    Matcher
-	capacity int
-
-	// whole is the legacy whole-result cache (single-shard repositories
-	// and engines without per-shard matching).
-	whole *matchCache
-
-	// shards holds the per-shard partial caches, sized lazily to the
-	// repository's shard count on first sharded match.
-	shardMu sync.Mutex
-	shards  []*matchCache
+	Inner Matcher
+	cache *matchCache
 }
 
 // NewCachedMatcher wraps inner with a match cache holding up to capacity
-// distinct queries (<= 0 means DefaultMatchCacheCapacity) — per shard, when
-// the repository is sharded.
+// distinct queries (<= 0 means DefaultMatchCacheCapacity).
 func NewCachedMatcher(inner Matcher, capacity int) *CachedMatcher {
 	if capacity <= 0 {
 		capacity = DefaultMatchCacheCapacity
 	}
-	return &CachedMatcher{
-		Inner:    inner,
-		capacity: capacity,
-		whole: newMatchCache(capacity, cacheMetrics{
-			invalidations: mMatchCacheInvalidations,
-			evictions:     mMatchCacheEvictions,
-			entries:       mMatchCacheEntries,
-		}),
-	}
-}
-
-// cachesFor returns the per-shard caches, (re)built if the repository's
-// shard count changed since the last call (only tests swap repositories
-// under one matcher; a broker's repository shape is fixed at New).
-func (m *CachedMatcher) cachesFor(n int) []*matchCache {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	if len(m.shards) != n {
-		m.shards = make([]*matchCache, n)
-		for i := range m.shards {
-			m.shards[i] = newMatchCache(m.capacity, cacheMetrics{
-				invalidations: mShardCacheInvalidations,
-				evictions:     mShardCacheEvictions,
-			})
-		}
-	}
-	return m.shards
+	return &CachedMatcher{Inner: inner, cache: newMatchCache(capacity)}
 }
 
 // Match implements Matcher. Hits return a fresh slice header over the
@@ -271,27 +200,18 @@ func (m *CachedMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if sm, ok := m.Inner.(shardMatcher); ok && repo.numShards() > 1 {
-		return m.matchSharded(repo, sm, q)
-	}
-	return m.matchWhole(repo, q)
-}
-
-// matchWhole is the PR 2 whole-result path: one cache entry per query,
-// stamped with the global generation.
-func (m *CachedMatcher) matchWhole(repo *Repository, q *ontology.Query) ([]*ontology.Advertisement, error) {
 	key := canonicalQuery(q)
 	// The generation is read before the match runs. If a Put lands in
 	// between, the computed result is stamped with the pre-Put
 	// generation and the next lookup (seeing the bumped generation)
 	// recomputes — conservative, never stale.
 	gen := repo.Generation()
-	if matches, ok := m.whole.lookup(key, gen); ok {
+	if matches, ok := m.cache.lookup(key, gen); ok {
 		mMatchCacheOps.With("hit").Inc()
 		return append([]*ontology.Advertisement(nil), matches...), nil
 	}
 	mMatchCacheOps.With("miss").Inc()
-	matches, shared, err := m.whole.compute(key, gen, func() ([]*ontology.Advertisement, error) {
+	matches, shared, err := m.cache.compute(key, gen, func() ([]*ontology.Advertisement, error) {
 		return m.Inner.Match(repo, q)
 	})
 	if err != nil {
@@ -303,80 +223,17 @@ func (m *CachedMatcher) matchWhole(repo *Repository, q *ontology.Query) ([]*onto
 	return append([]*ontology.Advertisement(nil), matches...), nil
 }
 
-// matchSharded assembles the result from per-shard partials: cached
-// shards cost a lookup, invalidated shards recompute only their own
-// candidates, and one final rankMatches over the union restores the
-// deterministic whole-repository order.
-func (m *CachedMatcher) matchSharded(repo *Repository, sm shardMatcher, q *ontology.Query) ([]*ontology.Advertisement, error) {
-	key := canonicalQuery(q)
-	caches := m.cachesFor(repo.numShards())
-	var out []*ontology.Advertisement
-	for i, c := range caches {
-		// Per-shard generation read before the partial computes: same
-		// conservative stamp-then-invalidate rule as the whole path.
-		gen := repo.shardGen(i)
-		if partial, ok := c.lookup(key, gen); ok {
-			mShardCacheOps.With("hit").Inc()
-			out = append(out, partial...)
-			continue
-		}
-		mShardCacheOps.With("miss").Inc()
-		shard := i
-		partial, shared, err := c.compute(key, gen, func() ([]*ontology.Advertisement, error) {
-			return sm.matchShard(repo, shard, q)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if shared {
-			mShardCacheOps.With("shared").Inc()
-		}
-		out = append(out, partial...)
-	}
-	// out is a fresh slice sharing only the immutable ad pointers with
-	// the cached partials, so ranking (and any caller reordering or
-	// truncation) cannot corrupt the cache.
-	rankMatches(sm.world(), out, q)
-	return out, nil
-}
-
-// Len reports the resident cached query count across the whole-result
-// cache and every per-shard cache.
-func (m *CachedMatcher) Len() int {
-	n := m.whole.len()
-	m.shardMu.Lock()
-	shards := m.shards
-	m.shardMu.Unlock()
-	for _, c := range shards {
-		n += c.len()
-	}
-	return n
-}
+// Len reports the resident cached query count.
+func (m *CachedMatcher) Len() int { return m.cache.len() }
 
 // Peek reports whether the query is currently memoized at the
 // repository's generation, without serving from the cache: no LRU
-// movement, no invalidation, no hit/miss accounting. On a sharded
-// repository a "hit" means every shard's partial is current. Decision
-// provenance uses it to label match events with the cache outcome the
-// subsequent Match call will see.
+// movement, no invalidation, no hit/miss accounting. Decision provenance
+// uses it to label match events with the cache outcome the subsequent
+// Match call will see.
 func (m *CachedMatcher) Peek(repo *Repository, q *ontology.Query) (hit bool, gen uint64) {
 	gen = repo.Generation()
-	key := canonicalQuery(q)
-	if _, ok := m.Inner.(shardMatcher); ok && repo.numShards() > 1 {
-		m.shardMu.Lock()
-		shards := m.shards
-		m.shardMu.Unlock()
-		if len(shards) != repo.numShards() {
-			return false, gen
-		}
-		for i, c := range shards {
-			if !c.peek(key, repo.shardGen(i)) {
-				return false, gen
-			}
-		}
-		return true, gen
-	}
-	return m.whole.peek(key, gen), gen
+	return m.cache.peek(canonicalQuery(q), gen), gen
 }
 
 // canonicalQuery serializes the match-relevant fields of a query into a

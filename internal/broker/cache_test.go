@@ -102,6 +102,38 @@ func TestCachedMatcherInvalidatesOnRemove(t *testing.T) {
 	}
 }
 
+// TestShardCachePeek: Peek reflects what the next Match will see,
+// without perturbing the cache. Its one case builds the repository with
+// NewShardedRepository(1), the constructor benchmark/ still calls.
+func TestShardCachePeek(t *testing.T) {
+	t.Run("shards-1", func(t *testing.T) {
+		r := NewShardedRepository(1)
+		fillRepo(t, r, repoPopulation(t))
+		cached := NewCachedMatcher(&DirectMatcher{World: matcherWorld()}, 0)
+		q := &ontology.Query{Ontology: "generic", Classes: []string{"C3"}}
+
+		if hit, _ := cached.Peek(r, q); hit {
+			t.Fatal("Peek reported a hit on a cold cache")
+		}
+		if _, err := cached.Match(r, q); err != nil {
+			t.Fatal(err)
+		}
+		hit, gen := cached.Peek(r, q)
+		if !hit {
+			t.Fatal("Peek reported a miss on a warm cache")
+		}
+		if gen != r.Generation() {
+			t.Fatalf("Peek gen = %d, want %d", gen, r.Generation())
+		}
+		if err := r.Put(resourceAd("peek-probe", "C3")); err != nil {
+			t.Fatal(err)
+		}
+		if hit, _ := cached.Peek(r, q); hit {
+			t.Fatal("Peek reported a hit after a mutation")
+		}
+	})
+}
+
 // TestCanonicalQueryKeyNormalizes: queries that must match identically
 // share a cache key regardless of list order and name case.
 func TestCanonicalQueryKeyNormalizes(t *testing.T) {

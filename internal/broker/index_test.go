@@ -18,11 +18,11 @@ import (
 
 // The generated differential test for the class postings. The index may
 // only ever narrow what ontology.Match is run over, so it is held to a
-// repository that scans everything: a flat, an 8-shard and an unindexed
+// repository that scans everything: an indexed and an unindexed
 // repository go through the same seeded Put / replace / Remove steps, and
-// after every step every query must get the same ranked names from all
-// three, from the cached matchers kept alive across the steps, and from
-// the Datalog engine, which never sees the index.
+// after every step every query must get the same ranked names from both,
+// from the cached matchers kept alive across the steps, and from the
+// Datalog engine, which never sees the index.
 
 // indexScenario is one seed's world and vocabulary.
 type indexScenario struct {
@@ -108,8 +108,8 @@ func (sc *indexScenario) constraints(max int) *constraint.Set {
 }
 
 // ad builds agent i's next advertisement: 0 to 3 fragments, and now and
-// then one that Put has to refuse (a fragment without classes), which all
-// three repositories must refuse alike.
+// then one that Put has to refuse (a fragment without classes), which both
+// repositories must refuse alike.
 func (sc *indexScenario) ad(i int) *ontology.Advertisement {
 	name := fmt.Sprintf("agent-%02d", i)
 	if sc.r.Intn(3) == 0 {
@@ -163,29 +163,27 @@ func (sc *indexScenario) query() *ontology.Query {
 // removed or replaced ad therefore lingers nowhere.
 func checkPostings(t *testing.T, label string, r *Repository) {
 	t.Helper()
-	for si, s := range r.shards {
-		want := map[classKey][]string{}
-		for key, ad := range s.ads {
-			for _, f := range ad.Content {
-				for _, class := range f.Classes {
-					k := classKey{ad.Type, strings.ToLower(f.Ontology), class}
-					if !slices.Contains(want[k], key) {
-						want[k] = append(want[k], key)
-					}
+	want := map[classKey][]string{}
+	for key, ad := range r.ads {
+		for _, f := range ad.Content {
+			for _, class := range f.Classes {
+				k := classKey{ad.Type, strings.ToLower(f.Ontology), class}
+				if !slices.Contains(want[k], key) {
+					want[k] = append(want[k], key)
 				}
 			}
 		}
-		got := map[classKey][]string{}
-		for k, p := range s.byClass {
-			got[k] = p.AppendCandidates(nil, nil)
-			slices.Sort(got[k])
-		}
-		for k := range want {
-			slices.Sort(want[k])
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: shard %d postings = %v, want %v", label, si, got, want)
-		}
+	}
+	got := map[classKey][]string{}
+	for k, p := range r.byClass {
+		got[k] = p.AppendCandidates(nil, nil)
+		slices.Sort(got[k])
+	}
+	for k := range want {
+		slices.Sort(want[k])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: postings = %v, want %v", label, got, want)
 	}
 }
 
@@ -198,14 +196,14 @@ func TestIndexDifferential(t *testing.T) {
 		sc := newIndexScenario(seed)
 		direct := &DirectMatcher{World: sc.world}
 		dl := &DatalogMatcher{World: sc.world}
-		repos := []*Repository{NewRepository(), NewShardedRepository(8), NewUnindexedRepository()}
-		labels := []string{"flat", "sharded", "unindexed"}
+		repos := []*Repository{NewRepository(), NewUnindexedRepository()}
+		labels := []string{"indexed", "unindexed"}
 		cached := make([]*CachedMatcher, len(repos))
 		for i := range cached {
 			cached[i] = NewCachedMatcher(direct, 0)
 		}
 		// A fixed handful of queries per scenario, asked after every
-		// step, so cached results and partials are there to go stale.
+		// step, so cached results are there to go stale.
 		queries := make([]*ontology.Query, 5)
 		for i := range queries {
 			queries[i] = sc.query()
@@ -220,7 +218,7 @@ func TestIndexDifferential(t *testing.T) {
 				was := repos[0].Remove(name)
 				for i, r := range repos[1:] {
 					if r.Remove(name) != was {
-						t.Fatalf("seed %d step %d: %s: %s and flat disagree", seed, step, what, labels[i+1])
+						t.Fatalf("seed %d step %d: %s: %s and indexed disagree", seed, step, what, labels[i+1])
 					}
 				}
 			} else {
@@ -229,7 +227,7 @@ func TestIndexDifferential(t *testing.T) {
 				err := repos[0].Put(ad)
 				for i, r := range repos[1:] {
 					if (r.Put(ad) == nil) != (err == nil) {
-						t.Fatalf("seed %d step %d: %s: %s and flat disagree (flat: %v)", seed, step, what, labels[i+1], err)
+						t.Fatalf("seed %d step %d: %s: %s and indexed disagree (indexed: %v)", seed, step, what, labels[i+1], err)
 					}
 				}
 			}
@@ -249,7 +247,7 @@ func TestIndexDifferential(t *testing.T) {
 						t.Fatalf("%s: %v", where, err)
 					}
 					if !slices.Equal(namesOf(got), namesOf(want)) {
-						t.Fatalf("%s: direct %v, datalog on flat %v", where, namesOf(got), namesOf(want))
+						t.Fatalf("%s: direct %v, datalog on indexed %v", where, namesOf(got), namesOf(want))
 					}
 					cands := r.candidates(sc.world, q)
 					for _, ad := range got {
@@ -276,54 +274,51 @@ func TestIndexDifferential(t *testing.T) {
 }
 
 // TestAdvertisementTypeListMatchesSnapshot: the broker's own advertisement
-// lists its repository's agent types from the shards' type sets; that list
-// equals the one derived from a full snapshot, also after the last ad of a
-// type has gone.
+// lists its repository's agent types from the type sets; that list equals
+// the one derived from a full snapshot, also after the last ad of a type
+// has gone.
 func TestAdvertisementTypeListMatchesSnapshot(t *testing.T) {
 	types := []ontology.AgentType{ontology.TypeResource, ontology.TypeQuery, ontology.TypeUser, ontology.TypeMonitor, "zeta", "alpha"}
-	for _, shards := range []int{1, 8} {
-		r := rand.New(rand.NewSource(int64(shards)))
-		b := newTestBroker(t, transport.NewInProc(), fmt.Sprintf("types-%d", shards),
-			func(c *Config) { c.RepositoryShards = shards })
-		check := func(at string) {
-			t.Helper()
-			var want []ontology.AgentType
-			for _, ad := range b.repo.snapshot() {
-				if !slices.Contains(want, ad.Type) {
-					want = append(want, ad.Type)
-				}
-			}
-			slices.Sort(want)
-			if got := b.Advertisement().Broker.AgentTypes; !slices.Equal(got, want) {
-				t.Fatalf("shards=%d %s: AgentTypes = %v, snapshot says %v", shards, at, got, want)
+	r := rand.New(rand.NewSource(1))
+	b := newTestBroker(t, transport.NewInProc(), "types")
+	check := func(at string) {
+		t.Helper()
+		var want []ontology.AgentType
+		for _, ad := range b.repo.snapshot() {
+			if !slices.Contains(want, ad.Type) {
+				want = append(want, ad.Type)
 			}
 		}
-		check("empty")
-		for step := 0; step < 300; step++ {
-			name := fmt.Sprintf("agent-%02d", r.Intn(12))
-			if r.Intn(3) == 0 {
-				b.repo.Remove(name)
-			} else {
-				typ := types[r.Intn(len(types))]
-				if err := b.repo.Put(resourceAd(name, "C2", func(ad *ontology.Advertisement) { ad.Type = typ })); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check(fmt.Sprintf("step %d", step))
+		slices.Sort(want)
+		if got := b.Advertisement().Broker.AgentTypes; !slices.Equal(got, want) {
+			t.Fatalf("%s: AgentTypes = %v, snapshot says %v", at, got, want)
 		}
-		for _, name := range b.repo.Names() {
+	}
+	check("empty")
+	for step := 0; step < 300; step++ {
+		name := fmt.Sprintf("agent-%02d", r.Intn(12))
+		if r.Intn(3) == 0 {
 			b.repo.Remove(name)
-			check("draining, after " + name)
+		} else {
+			typ := types[r.Intn(len(types))]
+			if err := b.repo.Put(resourceAd(name, "C2", func(ad *ontology.Advertisement) { ad.Type = typ })); err != nil {
+				t.Fatal(err)
+			}
 		}
+		check(fmt.Sprintf("step %d", step))
+	}
+	for _, name := range b.repo.Names() {
+		b.repo.Remove(name)
+		check("draining, after " + name)
 	}
 }
 
 // churnShapedRepository loads n resource ads over six classes with
 // staggered ranges, broker_churn's geometry: a window overlaps
 // (250+width)/60 ads of its class whatever n is.
-func churnShapedRepository(tb testing.TB, shards, n int) *Repository {
+func churnShapedRepository(tb testing.TB, n int) *Repository {
 	tb.Helper()
-	r := NewShardedRepository(shards)
+	r := NewRepository()
 	for i := 0; i < n; i++ {
 		class := fmt.Sprintf("C%d", i%6+1)
 		lo := float64(i / 6 * 60)
@@ -346,37 +341,33 @@ func churnShapedQuery(class string, lo, width float64) *ontology.Query {
 
 // TestCachedResultsPinNoCandidateArrays: what the cache stores is as long
 // as the answer, not as the candidate set it was filtered from. Sized to
-// the candidates, a one-match partial at 10,000 ads held a 1,250-pointer
-// array, and 2 brokers x 8 shards x 256 entries of them were most of
-// broker_churn's live heap.
+// the candidates, a one-match result at 10,000 ads held a 1,250-pointer
+// array, and 256 entries of them per broker were most of broker_churn's
+// live heap.
 func TestCachedResultsPinNoCandidateArrays(t *testing.T) {
 	w := ontology.NewWorld(ontology.Generic())
-	for _, shards := range []int{1, 8} {
-		repo := churnShapedRepository(t, shards, 10_000)
-		m := NewCachedMatcher(&DirectMatcher{World: w}, 0)
-		for k := 0; k < 40; k++ {
-			q := churnShapedQuery(fmt.Sprintf("C%d", k%6+1), float64(1000+k*2000), 50)
-			got, err := m.Match(repo, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) < 4 || len(got) > 6 {
-				t.Fatalf("shards=%d query %d matched %d ads, want about five", shards, k, len(got))
-			}
+	repo := churnShapedRepository(t, 10_000)
+	m := NewCachedMatcher(&DirectMatcher{World: w}, 0)
+	for k := 0; k < 40; k++ {
+		q := churnShapedQuery(fmt.Sprintf("C%d", k%6+1), float64(1000+k*2000), 50)
+		got, err := m.Match(repo, q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		entries := 0
-		for _, c := range append([]*matchCache{m.whole}, m.shards...) {
-			for el := c.lru.Front(); el != nil; el = el.Next() {
-				e := el.Value.(*matchCacheEntry)
-				entries++
-				if cap(e.matches) > len(e.matches) {
-					t.Fatalf("shards=%d: a cached result of %d ads has capacity %d", shards, len(e.matches), cap(e.matches))
-				}
-			}
+		if len(got) < 4 || len(got) > 6 {
+			t.Fatalf("query %d matched %d ads, want about five", k, len(got))
 		}
-		if want := 40 * shards; entries != want {
-			t.Fatalf("shards=%d: %d cached entries, want %d", shards, entries, want)
+	}
+	entries := 0
+	for el := m.cache.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*matchCacheEntry)
+		entries++
+		if cap(e.matches) > len(e.matches) {
+			t.Fatalf("a cached result of %d ads has capacity %d", len(e.matches), cap(e.matches))
 		}
+	}
+	if entries != 40 {
+		t.Fatalf("%d cached entries, want 40", entries)
 	}
 }
 

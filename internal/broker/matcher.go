@@ -23,58 +23,30 @@ type Matcher interface {
 	Match(repo *Repository, q *ontology.Query) ([]*ontology.Advertisement, error)
 }
 
-// shardMatcher is the optional interface a matching engine implements to
-// let the cache memoize per-shard partial results: matchShard returns the
-// UNRANKED matching advertisements drawn from one repository shard, and
-// the cache re-ranks the concatenated partials with rankMatches — whose
-// deterministic (score, name) total order makes the assembled result
-// byte-identical to a whole-repository match. Engines that reason over
-// the full repository at once (the DatalogMatcher) don't implement it and
-// fall back to whole-result caching under the global generation.
-type shardMatcher interface {
-	matchShard(repo *Repository, shard int, q *ontology.Query) ([]*ontology.Advertisement, error)
-	// world exposes the ontology world rankMatches scores against.
-	world() *ontology.World
-}
-
 // DirectMatcher evaluates ontology.Match over the repository's index-
 // narrowed candidates.
 type DirectMatcher struct {
 	World *ontology.World
 }
 
-// Match implements Matcher.
+// Match implements Matcher. The result is what the match cache stores,
+// so it grows by append and is clipped: sized to the candidates, a
+// one-match result would pin a backing array as long as the whole
+// ontology set for as long as it stayed cached.
 func (m *DirectMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.Advertisement, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	out := m.filter(repo.candidates(m.World, q), q)
-	rankMatches(m.World, out, q)
-	return out, nil
-}
-
-// filter keeps the candidates that match. The result is what the match
-// cache stores, so it grows by append and is clipped: sized to the
-// candidates, a one-match partial used to pin a backing array as long as
-// its shard's whole ontology set for as long as it stayed cached.
-func (m *DirectMatcher) filter(cands []*ontology.Advertisement, q *ontology.Query) []*ontology.Advertisement {
 	var out []*ontology.Advertisement
-	for _, ad := range cands {
+	for _, ad := range repo.candidates(m.World, q) {
 		if ontology.Match(m.World, ad, q) == ontology.Matched {
 			out = append(out, ad)
 		}
 	}
-	return slices.Clip(out)
+	out = slices.Clip(out)
+	rankMatches(m.World, out, q)
+	return out, nil
 }
-
-// matchShard implements shardMatcher: filter one shard's candidates,
-// leaving ranking to the caller's final pass over the assembled union.
-// The query has already been validated by the caller.
-func (m *DirectMatcher) matchShard(repo *Repository, shard int, q *ontology.Query) ([]*ontology.Advertisement, error) {
-	return m.filter(repo.shardCandidates(shard, m.World, q), q), nil
-}
-
-func (m *DirectMatcher) world() *ontology.World { return m.World }
 
 // rankedAds sorts an ad slice and its parallel score slice together:
 // best score first, name as the deterministic tiebreak. Implementing

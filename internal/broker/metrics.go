@@ -41,41 +41,7 @@ var (
 		"Cached match results evicted by the LRU capacity bound.")
 	mMatchCacheEntries = telemetry.Default.Gauge("infosleuth_broker_match_cache_entries",
 		"Match results currently resident in the cache.")
-
-	// Sharded-repository metrics. The shard count is a per-broker gauge
-	// (fixed at construction); the shard-cache counters mirror the
-	// whole-result cache families but count per-shard PARTIAL lookups, so
-	// one sharded query contributes shard-count operations. Invalidation
-	// counts are the headline: a mutation on a sharded repository should
-	// invalidate ~1/shards of the cached work a flat one would.
-	mShardCount = telemetry.Default.GaugeVec("infosleuth_broker_shard_count",
-		"Repository shards configured, by broker (1 = flat repository).", "broker")
-	mShardCacheOps = telemetry.Default.CounterVec("infosleuth_broker_shard_cache_total",
-		"Per-shard partial match-cache lookups, by result (hit, miss, shared).", "result")
-	mShardCacheInvalidations = telemetry.Default.Counter("infosleuth_broker_shard_cache_invalidations_total",
-		"Cached per-shard partials dropped because a mutation bumped that shard's generation.")
-	mShardCacheEvictions = telemetry.Default.Counter("infosleuth_broker_shard_cache_evictions_total",
-		"Cached per-shard partials evicted by a shard cache's LRU capacity bound.")
 )
-
-// ShardCacheStats snapshots the process-wide per-shard cache counters,
-// for the scale harness and BENCH_scale.json writer.
-type ShardCacheStats struct {
-	Hits          int64
-	Misses        int64
-	Shared        int64
-	Invalidations int64
-}
-
-// SnapshotShardCacheStats reads the per-shard cache counters.
-func SnapshotShardCacheStats() ShardCacheStats {
-	return ShardCacheStats{
-		Hits:          mShardCacheOps.With("hit").Value(),
-		Misses:        mShardCacheOps.With("miss").Value(),
-		Shared:        mShardCacheOps.With("shared").Value(),
-		Invalidations: mShardCacheInvalidations.Value(),
-	}
-}
 
 // MatchCacheStats snapshots the process-wide match-cache counters, for
 // benchmarks and the BENCH_broker.json writer.

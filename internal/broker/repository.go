@@ -17,38 +17,6 @@ import (
 	"infosleuth/internal/ontology"
 )
 
-// MaxRepositoryShards caps the shard count a repository may be built
-// with; requests beyond it are clamped. 1024 shards of a few thousand
-// advertisements each covers the million-advertisement target with room
-// to spare.
-const MaxRepositoryShards = 1024
-
-// repoShard is one partition of the repository: its own advertisement
-// map, secondary indexes, lock and generation counter, so a mutation
-// touches exactly one shard and concurrent searches of different shards
-// never contend.
-type repoShard struct {
-	mu  sync.RWMutex
-	ads map[string]*ontology.Advertisement // by lower-cased agent name
-
-	// gen counts this shard's mutations (Put/Remove). The per-shard
-	// match cache stamps partial results with the generation they were
-	// computed at; a bump invalidates only results drawn from this
-	// shard.
-	gen atomic.Uint64
-
-	// Secondary indexes: value → set of agent keys.
-	byType     map[ontology.AgentType]map[string]bool
-	byOntology map[string]map[string]bool
-	byLanguage map[string]map[string]bool
-
-	// byClass posts each agent key under every (type, ontology, class) it
-	// serves; inside a posting the keys are indexed by the numeric hull
-	// of the ad's constraints, so a class query with a range costs what
-	// it returns. A posting is deleted when its last key goes.
-	byClass map[classKey]*constraint.RegionIndex[string]
-}
-
 // classKey names one posting. The ontology is lower-cased, as byOntology
 // keys are; class names are matched exactly, as Fragment.HasClass and
 // Ontology.IsSubclassOf match them.
@@ -58,23 +26,13 @@ type classKey struct {
 	class    string
 }
 
-func newRepoShard() *repoShard {
-	return &repoShard{
-		ads:        make(map[string]*ontology.Advertisement),
-		byType:     make(map[ontology.AgentType]map[string]bool),
-		byOntology: make(map[string]map[string]bool),
-		byLanguage: make(map[string]map[string]bool),
-		byClass:    make(map[classKey]*constraint.RegionIndex[string]),
-	}
-}
-
 // Repository stores advertisements with secondary indexes on what service
 // queries select on, so matchmaking runs the full semantic match over a
 // handful of advertisements instead of the repository. It is safe for
 // concurrent use.
 //
-// A query that names classes is answered from the class postings: each
-// shard posts an advertisement under every (type, ontology, class) it
+// A query that names classes is answered from the class postings: the
+// repository posts an advertisement under every (type, ontology, class) it
 // serves, and inside a posting a constraint.RegionIndex keeps the numeric
 // hull of the ad's constraints per field. A probe unions the postings of
 // the class and of its subclasses, stabbing each with the query's most
@@ -89,17 +47,6 @@ func newRepoShard() *repoShard {
 // and every way to narrow has to be argued; the generated differential
 // test in index_test.go holds the index to a full scan.
 //
-// The repository is partitioned into shards addressed by the FNV-1a hash
-// of the advertisement's lower-cased agent name. Placement stays
-// name-hashed rather than region-keyed: Remove/Get/Contains address an
-// advertisement by name alone, so placing by region would need a name →
-// shard directory and re-placement when an update moves an ad's region,
-// and it would buy nothing now that a probe inside a shard is
-// logarithmic. Put/Remove/Get touch exactly one shard; a search gathers
-// from every shard in turn. A single-shard repository (the default, and
-// the Section 5 configuration) behaves exactly like the historical flat
-// repository, with no dispatch overhead.
-//
 // Stored advertisements are immutable snapshots: Put clones its argument
 // once, and nothing mutates an entry afterwards — an update Puts a fresh
 // clone under the same key. Internal readers (candidates, snapshot) hand
@@ -107,8 +54,23 @@ func newRepoShard() *repoShard {
 // what lets the matchmaking hot path skip per-match cloning; the exported
 // Get/All still clone for callers outside the package's control.
 type Repository struct {
-	shards []*repoShard
-	mask   uint64 // len(shards) is a power of two; mask = len-1
+	mu  sync.RWMutex
+	ads map[string]*ontology.Advertisement // by lower-cased agent name
+
+	// gen counts mutations (Put/Remove). The match cache stamps results
+	// with the generation they were computed at.
+	gen atomic.Uint64
+
+	// Secondary indexes: value → set of agent keys.
+	byType     map[ontology.AgentType]map[string]bool
+	byOntology map[string]map[string]bool
+	byLanguage map[string]map[string]bool
+
+	// byClass posts each agent key under every (type, ontology, class) it
+	// serves; inside a posting the keys are indexed by the numeric hull
+	// of the ad's constraints, so a class query with a range costs what
+	// it returns. A posting is deleted when its last key goes.
+	byClass map[classKey]*constraint.RegionIndex[string]
 
 	// indexed can be disabled to measure the index benefit
 	// (BenchmarkRepositoryIndexes).
@@ -123,43 +85,24 @@ type Repository struct {
 	snap    []*ontology.Advertisement // nil = no memo
 }
 
-// NewRepository returns an empty, indexed, single-shard repository — the
-// flat layout every broker used before sharding, still the default.
+// NewRepository returns an empty, indexed repository.
 func NewRepository() *Repository {
-	return NewShardedRepository(1)
+	return &Repository{
+		ads:        make(map[string]*ontology.Advertisement),
+		byType:     make(map[ontology.AgentType]map[string]bool),
+		byOntology: make(map[string]map[string]bool),
+		byLanguage: make(map[string]map[string]bool),
+		byClass:    make(map[classKey]*constraint.RegionIndex[string]),
+		indexed:    true,
+	}
 }
 
-// NewShardedRepository returns an empty, indexed repository partitioned
-// into n shards. n is rounded up to a power of two (for mask dispatch)
-// and clamped to [1, MaxRepositoryShards]; n <= 1 yields the flat
-// single-shard layout.
-func NewShardedRepository(n int) *Repository {
-	n = normalizeShards(n)
-	r := &Repository{
-		shards:  make([]*repoShard, n),
-		mask:    uint64(n - 1),
-		indexed: true,
-	}
-	for i := range r.shards {
-		r.shards[i] = newRepoShard()
-	}
-	return r
-}
-
-// normalizeShards clamps and rounds a requested shard count.
-func normalizeShards(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	if n > MaxRepositoryShards {
-		n = MaxRepositoryShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// NewShardedRepository returns NewRepository(); n is ignored.
+//
+// Deprecated: the sharded repository lost to the flat one at every size
+// once a cache miss became an indexed probe, and was deleted. The name is
+// kept only because benchmark/ builds against it.
+func NewShardedRepository(n int) *Repository { return NewRepository() }
 
 // NewUnindexedRepository returns a repository that always scans all
 // advertisements; only the index-ablation benchmark should want one.
@@ -169,41 +112,13 @@ func NewUnindexedRepository() *Repository {
 	return r
 }
 
-// Shards returns the repository's shard count.
-func (r *Repository) Shards() int { return len(r.shards) }
+// Shards returns 1.
+//
+// Deprecated: the repository is not partitioned. The method is kept only
+// because benchmark/ builds against it.
+func (r *Repository) Shards() int { return 1 }
 
 func adKey(name string) string { return strings.ToLower(name) }
-
-// FNV-1a, inlined so shard dispatch allocates nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func shardHash(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// shardFor routes an advertisement key to its owning shard. The
-// single-shard fast path skips hashing entirely.
-func (r *Repository) shardFor(key string) *repoShard {
-	if len(r.shards) == 1 {
-		return r.shards[0]
-	}
-	return r.shards[shardHash(key)&r.mask]
-}
-
-// numShards is the package-internal accessor the match cache sizes its
-// per-shard caches with.
-func (r *Repository) numShards() int { return len(r.shards) }
-
-// shardGen reads one shard's mutation counter.
-func (r *Repository) shardGen(i int) uint64 { return r.shards[i].gen.Load() }
 
 // Put validates and stores an advertisement, replacing any previous one for
 // the same agent (the paper: "when an agent's set of available services
@@ -219,57 +134,43 @@ func (r *Repository) Put(ad *ontology.Advertisement) error {
 	}
 	cp := ad.Clone()
 	key := adKey(cp.Name)
-	s := r.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.ads[key]; ok {
-		s.unindexLocked(key)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.ads[key]; ok {
+		r.unindexLocked(key)
 	}
-	s.ads[key] = cp
-	s.indexLocked(key, cp)
-	s.gen.Add(1)
+	r.ads[key] = cp
+	r.indexLocked(key, cp)
+	r.gen.Add(1)
 	return nil
 }
 
 // Remove deletes an agent's advertisement; it reports whether one existed.
 func (r *Repository) Remove(name string) bool {
 	key := adKey(name)
-	s := r.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.ads[key]; !ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.ads[key]; !ok {
 		return false
 	}
-	s.unindexLocked(key)
-	delete(s.ads, key)
-	s.gen.Add(1)
+	r.unindexLocked(key)
+	delete(r.ads, key)
+	r.gen.Add(1)
 	return true
 }
 
-// Generation returns the repository's mutation counter: the sum of the
-// per-shard counters. Each shard's counter increments before Put/Remove
-// return and never decreases, so any result computed from a generation
-// read before a mutation cannot be served as current afterwards — the
-// match cache's invalidation signal. On a single-shard repository this
-// is exactly the historical flat counter.
-func (r *Repository) Generation() uint64 {
-	if len(r.shards) == 1 {
-		return r.shards[0].gen.Load()
-	}
-	var sum uint64
-	for _, s := range r.shards {
-		sum += s.gen.Load()
-	}
-	return sum
-}
+// Generation returns the repository's mutation counter. It increments
+// before Put/Remove return and never decreases, so any result computed
+// from a generation read before a mutation cannot be served as current
+// afterwards — the match cache's invalidation signal.
+func (r *Repository) Generation() uint64 { return r.gen.Load() }
 
 // Get returns a copy of an agent's advertisement.
 func (r *Repository) Get(name string) (*ontology.Advertisement, bool) {
 	key := adKey(name)
-	s := r.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ad, ok := s.ads[key]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	ad, ok := r.ads[key]
 	if !ok {
 		return nil, false
 	}
@@ -279,52 +180,41 @@ func (r *Repository) Get(name string) (*ontology.Advertisement, bool) {
 // Contains reports whether the agent is advertised.
 func (r *Repository) Contains(name string) bool {
 	key := adKey(name)
-	s := r.shardFor(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.ads[key]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	_, ok := r.ads[key]
 	return ok
 }
 
 // Len returns the number of stored advertisements.
 func (r *Repository) Len() int {
-	n := 0
-	for _, s := range r.shards {
-		s.mu.RLock()
-		n += len(s.ads)
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.ads)
 }
 
 // LenNonBroker returns the number of stored non-broker advertisements —
 // the size of the space the matchmaker reasons over for service queries
 // (peer-broker entries are routing state, not candidates).
 func (r *Repository) LenNonBroker() int {
-	n := 0
-	for _, s := range r.shards {
-		s.mu.RLock()
-		n += len(s.ads) - len(s.byType[ontology.TypeBroker])
-		s.mu.RUnlock()
-	}
-	return n
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.ads) - len(r.byType[ontology.TypeBroker])
 }
 
 // agentTypes returns the types of the stored advertisements, sorted: the
 // broker's specialization by agent type in its own advertisement. It reads
-// the shards' type sets, so an advertise reply costs the number of types
-// and not a sorted snapshot of the repository.
+// the type sets, so an advertise reply costs the number of types and not a
+// sorted snapshot of the repository.
 func (r *Repository) agentTypes() []ontology.AgentType {
 	var out []ontology.AgentType
-	for _, s := range r.shards {
-		s.mu.RLock()
-		for t, keys := range s.byType {
-			if len(keys) > 0 && !slices.Contains(out, t) {
-				out = append(out, t)
-			}
+	r.mu.RLock()
+	for t, keys := range r.byType {
+		if len(keys) > 0 {
+			out = append(out, t)
 		}
-		s.mu.RUnlock()
 	}
+	r.mu.RUnlock()
 	slices.Sort(out)
 	return out
 }
@@ -350,16 +240,7 @@ func (r *Repository) All() []*ontology.Advertisement {
 	return out
 }
 
-func (s *repoShard) indexTypeLocked(key string, ad *ontology.Advertisement) {
-	set, ok := s.byType[ad.Type]
-	if !ok {
-		set = make(map[string]bool)
-		s.byType[ad.Type] = set
-	}
-	set[key] = true
-}
-
-func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
+func (r *Repository) indexLocked(key string, ad *ontology.Advertisement) {
 	addTo := func(m map[string]map[string]bool, val string) {
 		val = strings.ToLower(val)
 		set, ok := m[val]
@@ -369,39 +250,44 @@ func (s *repoShard) indexLocked(key string, ad *ontology.Advertisement) {
 		}
 		set[key] = true
 	}
-	s.indexTypeLocked(key, ad)
+	set, ok := r.byType[ad.Type]
+	if !ok {
+		set = make(map[string]bool)
+		r.byType[ad.Type] = set
+	}
+	set[key] = true
 	for _, f := range ad.Content {
-		addTo(s.byOntology, f.Ontology)
+		addTo(r.byOntology, f.Ontology)
 	}
 	for _, l := range ad.ContentLanguages {
-		addTo(s.byLanguage, l)
+		addTo(r.byLanguage, l)
 	}
 	eachClassPosting(ad, func(k classKey, regions []*constraint.Set) {
-		p := s.byClass[k]
+		p := r.byClass[k]
 		if p == nil {
 			p = constraint.NewRegionIndex[string]()
-			s.byClass[k] = p
+			r.byClass[k] = p
 		}
 		p.Add(key, regions)
 	})
 }
 
-func (s *repoShard) unindexLocked(key string) {
-	ad := s.ads[key]
+func (r *Repository) unindexLocked(key string) {
+	ad := r.ads[key]
 	if ad == nil {
 		return
 	}
-	delete(s.byType[ad.Type], key)
+	delete(r.byType[ad.Type], key)
 	for _, f := range ad.Content {
-		delete(s.byOntology[strings.ToLower(f.Ontology)], key)
+		delete(r.byOntology[strings.ToLower(f.Ontology)], key)
 	}
 	for _, l := range ad.ContentLanguages {
-		delete(s.byLanguage[strings.ToLower(l)], key)
+		delete(r.byLanguage[strings.ToLower(l)], key)
 	}
 	eachClassPosting(ad, func(k classKey, regions []*constraint.Set) {
-		p := s.byClass[k]
+		p := r.byClass[k]
 		if p.Remove(key, regions); p.Len() == 0 {
-			delete(s.byClass, k)
+			delete(r.byClass, k)
 		}
 	})
 }
@@ -443,33 +329,16 @@ func eachClassPosting(ad *ontology.Advertisement, fn func(k classKey, regions []
 // The returned ads are the repository's immutable snapshots: callers must
 // not mutate them. The result order is unspecified — every caller re-orders
 // deterministically, so candidates does not pay for a sort of its own.
-//
-// Shards are gathered one after another, each internally consistent under
-// its own read lock, and no lock is held across shards.
 func (r *Repository) candidates(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
-	if len(r.shards) == 1 {
-		return r.shardCandidates(0, w, q)
-	}
-	var out []*ontology.Advertisement
-	for i := range r.shards {
-		out = append(out, r.shardCandidates(i, w, q)...)
-	}
-	return out
-}
-
-// shardCandidates gathers one shard's candidates — the per-shard match
-// cache's recompute unit.
-func (r *Repository) shardCandidates(i int, w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
-	s := r.shards[i]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	switch {
 	case !r.indexed:
-		return s.unsortedLocked()
+		return r.unsortedLocked()
 	case q.Ontology != "" && len(q.Classes) > 0:
-		return s.classCandidatesLocked(w, q)
+		return r.classCandidatesLocked(w, q)
 	default:
-		return s.setCandidatesLocked(q)
+		return r.setCandidatesLocked(q)
 	}
 }
 
@@ -478,13 +347,9 @@ func (r *Repository) shardCandidates(i int, w *ontology.World, q *ontology.Query
 // advertisements a query rejected by class or by constraint, which the
 // class postings exist to never look at.
 func (r *Repository) rejectionCandidates(q *ontology.Query) []*ontology.Advertisement {
-	var out []*ontology.Advertisement
-	for _, s := range r.shards {
-		s.mu.RLock()
-		out = append(out, s.setCandidatesLocked(q)...)
-		s.mu.RUnlock()
-	}
-	return out
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.setCandidatesLocked(q)
 }
 
 // classCandidatesLocked answers a query that names classes from the class
@@ -492,7 +357,7 @@ func (r *Repository) rejectionCandidates(q *ontology.Query) []*ontology.Advertis
 // the class itself or a subclass, so the postings of any one query class
 // and its descendants hold every match; the class with the fewest keys
 // posted is probed and the rest are left to Match.
-func (s *repoShard) classCandidatesLocked(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
+func (r *Repository) classCandidatesLocked(w *ontology.World, q *ontology.Query) []*ontology.Advertisement {
 	ont := w.Ontology(q.Ontology)
 	oname := strings.ToLower(q.Ontology)
 	class := q.Classes[0]
@@ -500,7 +365,7 @@ func (s *repoShard) classCandidatesLocked(w *ontology.World, q *ontology.Query) 
 		fewest := -1
 		for _, c := range q.Classes {
 			n := 0
-			s.eachPostingLocked(q.Type, oname, c, ont, func(p *constraint.RegionIndex[string]) { n += p.Len() })
+			r.eachPostingLocked(q.Type, oname, c, ont, func(p *constraint.RegionIndex[string]) { n += p.Len() })
 			if fewest < 0 || n < fewest {
 				class, fewest = c, n
 			}
@@ -508,7 +373,7 @@ func (s *repoShard) classCandidatesLocked(w *ontology.World, q *ontology.Query) 
 	}
 	var keys []string
 	postings := 0
-	s.eachPostingLocked(q.Type, oname, class, ont, func(p *constraint.RegionIndex[string]) {
+	r.eachPostingLocked(q.Type, oname, class, ont, func(p *constraint.RegionIndex[string]) {
 		keys = p.AppendCandidates(keys, q.Constraints)
 		postings++
 	})
@@ -520,24 +385,24 @@ func (s *repoShard) classCandidatesLocked(w *ontology.World, q *ontology.Query) 
 	}
 	out := make([]*ontology.Advertisement, len(keys))
 	for i, key := range keys {
-		out[i] = s.ads[key]
+		out[i] = r.ads[key]
 	}
 	return out
 }
 
 // eachPostingLocked calls fn with every posting a query for class has to
 // look in: the class and its subclasses in ont (nil: no hierarchy), for
-// the given agent type or, for TypeAny, for every type the shard holds.
-func (s *repoShard) eachPostingLocked(typ ontology.AgentType, oname, class string, ont *ontology.Ontology, fn func(*constraint.RegionIndex[string])) {
+// the given agent type or, for TypeAny, for every type the repository holds.
+func (r *Repository) eachPostingLocked(typ ontology.AgentType, oname, class string, ont *ontology.Ontology, fn func(*constraint.RegionIndex[string])) {
 	expand := func(t ontology.AgentType) {
-		if p := s.byClass[classKey{t, oname, class}]; p != nil {
+		if p := r.byClass[classKey{t, oname, class}]; p != nil {
 			fn(p)
 		}
 		if ont == nil {
 			return
 		}
 		for _, sub := range ont.Descendants(class) {
-			if p := s.byClass[classKey{t, oname, sub}]; p != nil {
+			if p := r.byClass[classKey{t, oname, sub}]; p != nil {
 				fn(p)
 			}
 		}
@@ -546,43 +411,43 @@ func (s *repoShard) eachPostingLocked(typ ontology.AgentType, oname, class strin
 		expand(typ)
 		return
 	}
-	for t := range s.byType {
+	for t := range r.byType {
 		expand(t)
 	}
 }
 
-// setCandidatesLocked intersects the shard's type, ontology and language
+// setCandidatesLocked intersects the type, ontology and language
 // sets. The output slice is sized by the post-intersection estimate
 // under an independence assumption (|A∩B| ≈ |A|·|B|/N), not by the
 // smallest index set — with several index sets the intersection is
 // usually far smaller than any one of them, and the old
 // len(smallest)-capacity slice wasted most of its backing array.
-func (s *repoShard) setCandidatesLocked(q *ontology.Query) []*ontology.Advertisement {
+func (r *Repository) setCandidatesLocked(q *ontology.Query) []*ontology.Advertisement {
 	var sets []map[string]bool
 	if q.Type != ontology.TypeAny {
-		sets = append(sets, s.byType[q.Type])
+		sets = append(sets, r.byType[q.Type])
 	}
 	if q.Ontology != "" {
-		sets = append(sets, s.byOntology[strings.ToLower(q.Ontology)])
+		sets = append(sets, r.byOntology[strings.ToLower(q.Ontology)])
 	}
 	if q.ContentLanguage != "" {
-		sets = append(sets, s.byLanguage[strings.ToLower(q.ContentLanguage)])
+		sets = append(sets, r.byLanguage[strings.ToLower(q.ContentLanguage)])
 	}
 	if len(sets) == 0 {
-		return s.unsortedLocked()
+		return r.unsortedLocked()
 	}
 	smallest := sets[0]
 	if len(sets) == 1 {
 		out := make([]*ontology.Advertisement, 0, len(smallest))
 		for key := range smallest {
-			out = append(out, s.ads[key])
+			out = append(out, r.ads[key])
 		}
 		return out
 	}
 	// Intersect starting from the smallest set.
 	sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
 	smallest = sets[0]
-	est := intersectionEstimate(sets, len(s.ads))
+	est := intersectionEstimate(sets, len(r.ads))
 	out := make([]*ontology.Advertisement, 0, est)
 	if len(sets) == 2 {
 		// The common two-index case: one direct membership probe per
@@ -590,7 +455,7 @@ func (s *repoShard) setCandidatesLocked(q *ontology.Query) []*ontology.Advertise
 		second := sets[1]
 		for key := range smallest {
 			if second[key] {
-				out = append(out, s.ads[key])
+				out = append(out, r.ads[key])
 			}
 		}
 		return out
@@ -603,7 +468,7 @@ outer:
 				continue outer
 			}
 		}
-		out = append(out, s.ads[key])
+		out = append(out, r.ads[key])
 	}
 	return out
 }
@@ -645,27 +510,12 @@ func (r *Repository) snapshot() []*ontology.Advertisement {
 	}
 	r.snapMu.Unlock()
 
-	// Rebuild under all shard locks (ascending index order, so
-	// concurrent snapshots cannot deadlock): the collected view is a
-	// consistent cut, and the generation it is stamped with is exact.
-	for _, s := range r.shards {
-		s.mu.RLock()
-	}
-	gen = 0
-	n := 0
-	for _, s := range r.shards {
-		gen += s.gen.Load()
-		n += len(s.ads)
-	}
-	out := make([]*ontology.Advertisement, 0, n)
-	for _, s := range r.shards {
-		for _, ad := range s.ads {
-			out = append(out, ad)
-		}
-	}
-	for _, s := range r.shards {
-		s.mu.RUnlock()
-	}
+	// Collected under the read lock, so the view is a consistent cut and
+	// the generation it is stamped with is exact.
+	r.mu.RLock()
+	gen = r.gen.Load()
+	out := r.unsortedLocked()
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 
 	r.snapMu.Lock()
@@ -678,9 +528,9 @@ func (r *Repository) snapshot() []*ontology.Advertisement {
 	return out
 }
 
-func (s *repoShard) unsortedLocked() []*ontology.Advertisement {
-	out := make([]*ontology.Advertisement, 0, len(s.ads))
-	for _, ad := range s.ads {
+func (r *Repository) unsortedLocked() []*ontology.Advertisement {
+	out := make([]*ontology.Advertisement, 0, len(r.ads))
+	for _, ad := range r.ads {
 		out = append(out, ad)
 	}
 	return out

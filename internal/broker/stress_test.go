@@ -3,6 +3,7 @@ package broker
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // cached searches, and the cache must never serve a result that predates
 // a completed mutation. Concretely:
 //
-//   - a mutator flaps one advertisement (Put, verify present; Remove,
+//   - mutators each flap one advertisement (Put, verify present; Remove,
 //     verify absent) — each verification searches AFTER the mutation
 //     returned, so a hit on a pre-mutation cache entry is a bug;
 //   - reader goroutines hammer the same query (maximizing cache traffic
@@ -27,14 +28,29 @@ import (
 //     cross goroutines exactly as they do in production, letting the
 //     race detector see any mutation of a shared Advertisement.
 func TestConcurrentMutationVsCachedSearch(t *testing.T) {
-	tr := transport.NewInProc()
-	b, err := New(Config{Name: "B1", Transport: tr, World: matcherWorld()})
+	stressMutationVsCachedSearch(t, Config{Name: "B1", Transport: transport.NewInProc(), World: matcherWorld()}, 8)
+}
+
+// TestConcurrentShardMutationVsCachedSearch runs the same stress with the
+// broker configured as benchmark/'s broker_churn configures its brokers:
+// RepositoryShards set, which must still yield the one flat repository,
+// and more anchors than the default test.
+func TestConcurrentShardMutationVsCachedSearch(t *testing.T) {
+	cfg := Config{Name: "B1", Transport: transport.NewInProc(), World: matcherWorld(), RepositoryShards: 8}
+	stressMutationVsCachedSearch(t, cfg, 24)
+}
+
+func stressMutationVsCachedSearch(t *testing.T, cfg Config, anchors int) {
+	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Anchors are always present; the flapper comes and goes.
-	for i := 0; i < 8; i++ {
-		if err := b.Repository().Put(resourceAd(fmt.Sprintf("anchor-%d", i), "C2")); err != nil {
+	if got := b.Repository().Shards(); got != 1 {
+		t.Fatalf("RepositoryShards: %d built a repository reporting %d shards, want 1", cfg.RepositoryShards, got)
+	}
+	// Anchors are always present; the flappers come and go.
+	for i := 0; i < anchors; i++ {
+		if err := b.Repository().Put(resourceAd(fmt.Sprintf("anchor-%02d", i), "C2")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -57,8 +73,9 @@ func TestConcurrentMutationVsCachedSearch(t *testing.T) {
 	}
 
 	const (
-		readers = 4
-		rounds  = 200
+		readers  = 4
+		mutators = 3
+		rounds   = 120
 	)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -72,47 +89,60 @@ func TestConcurrentMutationVsCachedSearch(t *testing.T) {
 			defer wg.Done()
 			for !stop.Load() {
 				matches := search()
-				anchors := 0
+				seen := 0
 				for _, ad := range matches {
 					// Read through the shared snapshot's nested fields so
 					// the race detector watches them.
-					if ad.Type != ontology.TypeResource || ad.Content[0].Ontology == "" {
-						t.Errorf("corrupted snapshot ad: %+v", ad)
+					if ad.Type != ontology.TypeResource || len(ad.Content) == 0 || ad.Content[0].Ontology == "" {
+						t.Errorf("half-applied or corrupted snapshot ad: %+v", ad)
 						return
 					}
-					if ad.Name[0] == 'a' {
-						anchors++
+					if strings.HasPrefix(ad.Name, "anchor") {
+						seen++
 					}
 				}
-				if anchors < 8 {
-					t.Errorf("search returned %d anchors, want 8: %v", anchors, namesOf(matches))
+				if seen < anchors {
+					t.Errorf("search returned %d anchors, want %d: %v", seen, anchors, namesOf(matches))
 					return
 				}
 			}
 		}()
 	}
 
-	// Mutator: flap the extra ad and verify the cache tracks every
-	// completed mutation immediately.
-	for i := 0; i < rounds; i++ {
-		flapper := resourceAd("flapper", "C2")
-		if i%2 == 0 {
-			// Vary the copy so a stale cached snapshot is detectable.
-			flapper.Capabilities = []string{ontology.CapSelect}
-		}
-		if err := b.Repository().Put(flapper); err != nil {
-			t.Fatal(err)
-		}
-		if m := search(); !has(m, "flapper") {
-			t.Fatalf("round %d: stale cache: flapper missing right after Put: %v", i, namesOf(m))
-		}
-		if !b.Repository().Remove("flapper") {
-			t.Fatalf("round %d: flapper vanished", i)
-		}
-		if m := search(); has(m, "flapper") {
-			t.Fatalf("round %d: stale cache: flapper still recommended right after Remove", i)
-		}
+	// Mutators: each flaps its own ad and verifies the cache tracks every
+	// completed mutation immediately, while the others invalidate beside it.
+	var mwg sync.WaitGroup
+	for m := 0; m < mutators; m++ {
+		mwg.Add(1)
+		go func(m int) {
+			defer mwg.Done()
+			name := fmt.Sprintf("flapper-%d", m)
+			for i := 0; i < rounds; i++ {
+				flapper := resourceAd(name, "C2")
+				if i%2 == 0 {
+					// Vary the copy so a stale cached snapshot is detectable.
+					flapper.Capabilities = []string{ontology.CapSelect}
+				}
+				if err := b.Repository().Put(flapper); err != nil {
+					t.Error(err)
+					return
+				}
+				if res := search(); !has(res, name) {
+					t.Errorf("round %d: stale cache: %s missing right after Put: %v", i, name, namesOf(res))
+					return
+				}
+				if !b.Repository().Remove(name) {
+					t.Errorf("round %d: %s vanished", i, name)
+					return
+				}
+				if res := search(); has(res, name) {
+					t.Errorf("round %d: stale cache: %s still recommended right after Remove", i, name)
+					return
+				}
+			}
+		}(m)
 	}
+	mwg.Wait()
 	stop.Store(true)
 	wg.Wait()
 }

@@ -37,8 +37,8 @@ const (
 	// notifications), plus the federated planner that mrqd turns on.
 	Production Profile = iota
 	// PaperFaithful is the system of the paper, which the live Section 5
-	// experiments measure: every broker query pays the full match over a
-	// flat repository, the MRQ agent gathers fragments one at a time and
+	// experiments measure: every broker query pays the full match over
+	// the repository, the MRQ agent gathers fragments one at a time and
 	// as they are, and calls are single-shot.
 	PaperFaithful
 )
@@ -87,7 +87,6 @@ func (cfg Config) resolve() (broker.Config, mrq.Config, error) {
 			return b, m, fmt.Errorf("community: the paper-faithful profile makes single-shot calls; CallPolicy must be nil")
 		}
 		b.DisableMatchCache = true // the LDL broker re-ran the match on every query
-		b.RepositoryShards = 1     // one flat advertisement repository
 		m.MaxFanout = 1            // serial gather, in broker match order
 		// m.Planner stays false: every fragment is fetched as it is.
 	default:

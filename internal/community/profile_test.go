@@ -31,7 +31,7 @@ func TestProfileResolve(t *testing.T) {
 		{
 			name:   "paper-faithful",
 			cfg:    Config{Profile: PaperFaithful},
-			broker: broker.Config{DisableMatchCache: true, RepositoryShards: 1},
+			broker: broker.Config{DisableMatchCache: true},
 			mrq:    mrq.Config{MaxFanout: 1},
 		},
 		{name: "paper-faithful with a call policy", cfg: Config{Profile: PaperFaithful, CallPolicy: policy}, wantErr: "CallPolicy"},
@@ -123,13 +123,11 @@ func runProfile(t *testing.T, p Profile) profileRun {
 	}
 
 	readCache := func() int64 {
-		return counterSum("infosleuth_broker_match_cache") + counterSum("infosleuth_broker_shard_cache")
+		return counterSum("infosleuth_broker_match_cache")
 	}
 	hits := func() int64 {
-		s := telemetry.Default.Snapshot()
-		n, _ := s["infosleuth_broker_match_cache_total"]["hit"].(int64)
-		m, _ := s["infosleuth_broker_shard_cache_total"]["hit"].(int64)
-		return n + m
+		n, _ := telemetry.Default.Snapshot()["infosleuth_broker_match_cache_total"]["hit"].(int64)
+		return n
 	}
 	before := profileRun{cacheHits: hits(), cacheOps: readCache(),
 		planOps: counterSum("infosleuth_mrq_plan_"), semiJoins: mrq.SnapshotPlanStats().SemiJoins}

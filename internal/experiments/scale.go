@@ -1,12 +1,11 @@
-// Scale harness: the sharded-repository benchmark behind BENCH_scale.json
+// Scale harness: the repository size sweep behind BENCH_scale.json
 // (`experiments -run scale`). It sweeps repository sizes from thousands to
 // a million advertisements and, at each size, replays the same
 // DES-generated churn/search schedule (internal/sim.BuildScaleSchedule)
-// against a flat single-shard repository and a sharded one, measuring
-// match latency (p50/p95), concurrent search throughput under churn, and
-// repository heap. Like BENCH_broker.json this measures the
-// implementation, not the paper's Section 5 evaluation, which runs on the
-// flat repository of community.PaperFaithful.
+// against the repository behind a match cache, measuring match latency
+// (p50/p95), concurrent search throughput under churn, and repository
+// heap. Like BENCH_broker.json this measures the implementation, not the
+// paper's Section 5 evaluation.
 package experiments
 
 import (
@@ -37,27 +36,14 @@ type ScaleBenchOptions struct {
 	Sizes []int
 }
 
-// ScaleConfigStat measures one repository configuration at one size.
-type ScaleConfigStat struct {
-	Shards           int     `json:"shards"`
+// ScalePoint measures the repository at one size.
+type ScalePoint struct {
+	Ads              int     `json:"ads"`
 	BuildSeconds     float64 `json:"build_seconds"`
 	SearchP50Micros  float64 `json:"search_p50_micros"`
 	SearchP95Micros  float64 `json:"search_p95_micros"`
 	ThroughputPerSec float64 `json:"concurrent_searches_per_sec"`
 	RepoHeapMB       float64 `json:"repo_heap_mb"`
-}
-
-// ScalePoint compares flat vs sharded at one repository size.
-type ScalePoint struct {
-	Ads     int             `json:"ads"`
-	Flat    ScaleConfigStat `json:"flat"`
-	Sharded ScaleConfigStat `json:"sharded"`
-	// ThroughputGainX is sharded/flat concurrent search throughput under
-	// churn. It was the headline while a cache miss cost a scan of the
-	// shard (680x at 100k ads); with indexed probes it is below 1, and
-	// the row is kept as the evidence for whether shards still pay.
-	ThroughputGainX float64 `json:"concurrent_throughput_gain_x"`
-	P95SpeedupX     float64 `json:"p95_speedup_x"`
 }
 
 // ScaleResult is the checked-in BENCH_scale.json shape.
@@ -66,27 +52,14 @@ type ScaleResult struct {
 	Quick      bool         `json:"quick,omitempty"`
 	GoMaxProcs int          `json:"gomaxprocs"`
 	Points     []ScalePoint `json:"points"`
-	// AdsGrowthX and ShardedP95GrowthX compare the sweep's endpoints:
-	// sub-linear p95 growth means the latter stays below the former.
-	AdsGrowthX          float64 `json:"ads_growth_x"`
-	ShardedP95GrowthX   float64 `json:"sharded_p95_growth_x"`
-	ShardedP95Sublinear bool    `json:"sharded_p95_sublinear"`
+	// AdsGrowthX and P95GrowthX compare the sweep's endpoints: sub-linear
+	// p95 growth means the latter stays below the former.
+	AdsGrowthX   float64 `json:"ads_growth_x"`
+	P95GrowthX   float64 `json:"p95_growth_x"`
+	P95Sublinear bool    `json:"p95_sublinear"`
 }
 
-// scaleShardsFor picks the sharded configuration's shard count: grow with
-// the repository so each shard holds at most ~2k advertisements (bounding
-// the recompute a single mutation can force on the next search), within
-// [8, 256].
-func scaleShardsFor(ads int) int {
-	shards := 8
-	for shards < 256 && ads/shards > 2048 {
-		shards <<= 1
-	}
-	return shards
-}
-
-// scaleChurnAds builds the flapping-agent pool, named so the FNV shard
-// hash spreads them across shards.
+// scaleChurnAds builds the flapping-agent pool.
 func scaleChurnAds(n int) []*ontology.Advertisement {
 	ads := make([]*ontology.Advertisement, 0, n)
 	for i := 0; i < n; i++ {
@@ -131,12 +104,12 @@ func scaleQueries(buckets, ads int) []*ontology.Query {
 
 // buildScaleRepo fills a repository and reports build time and the heap
 // the populated repository retains (GC-settled delta).
-func buildScaleRepo(shards int, base, churn []*ontology.Advertisement) (*broker.Repository, float64, float64, error) {
+func buildScaleRepo(base, churn []*ontology.Advertisement) (*broker.Repository, float64, float64, error) {
 	runtime.GC()
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	repo := broker.NewShardedRepository(shards)
+	repo := broker.NewRepository()
 	for _, ad := range base {
 		if err := repo.Put(ad); err != nil {
 			return nil, 0, 0, err
@@ -188,16 +161,15 @@ func replayScaleSchedule(repo *broker.Repository, m broker.Matcher, ops []sim.Sc
 // scaleChurnInterval paces the throughput phase's mutation stream:
 // ~100 mutations/s, an aggressive advertisement churn rate that still
 // leaves searches room to land between invalidations. (Pacing much
-// faster than a search's own latency degenerates both configurations
-// into recompute-everything-per-search and measures nothing but raw
-// match speed.)
+// faster than a search's own latency degenerates the sweep into
+// recompute-everything-per-search and measures nothing but raw match
+// speed.)
 const scaleChurnInterval = 10 * time.Millisecond
 
 // concurrentScaleThroughput measures searches completed per second with
 // searcher goroutines hammering the query buckets while a churn
-// goroutine mutates the repository every scaleChurnInterval — the regime
-// the per-shard cache is built for: on a flat repository every mutation
-// invalidates all cached work, on a sharded one only the mutated shard's.
+// goroutine mutates the repository every scaleChurnInterval, so every
+// mutation invalidates all cached work and searches keep recomputing.
 func concurrentScaleThroughput(repo *broker.Repository, m broker.Matcher, churn []*ontology.Advertisement, queries []*ontology.Query, dur time.Duration) (float64, error) {
 	const searchers = 4
 	var done atomic.Int64
@@ -255,32 +227,31 @@ func percentileMicros(lat []float64, p float64) float64 {
 	return s[idx]
 }
 
-// scaleConfig runs one repository configuration at one size.
-func scaleConfig(shards int, base, churn []*ontology.Advertisement, queries []*ontology.Query, ops []sim.ScaleOp, thrDur time.Duration) (ScaleConfigStat, error) {
-	repo, buildSec, heapMB, err := buildScaleRepo(shards, base, churn)
+// scalePoint measures the repository at one size.
+func scalePoint(base, churn []*ontology.Advertisement, queries []*ontology.Query, ops []sim.ScaleOp, thrDur time.Duration) (ScalePoint, error) {
+	repo, buildSec, heapMB, err := buildScaleRepo(base, churn)
 	if err != nil {
-		return ScaleConfigStat{}, err
+		return ScalePoint{}, err
 	}
 	m := broker.NewCachedMatcher(&broker.DirectMatcher{World: BenchWorld()}, 0)
 	// Warm every query bucket once so the replay measures steady-state
-	// behavior — churn-driven cache misses — rather than first-touch full
-	// computes, which would dominate p95 at every size and scale with the
-	// repository instead of with the invalidation granularity.
+	// behavior — churn-driven cache misses — rather than first-touch
+	// computes.
 	for _, q := range queries {
 		if _, err := m.Match(repo, q); err != nil {
-			return ScaleConfigStat{}, err
+			return ScalePoint{}, err
 		}
 	}
 	lat, err := replayScaleSchedule(repo, m, ops, churn, queries)
 	if err != nil {
-		return ScaleConfigStat{}, err
+		return ScalePoint{}, err
 	}
 	thr, err := concurrentScaleThroughput(repo, m, churn, queries, thrDur)
 	if err != nil {
-		return ScaleConfigStat{}, err
+		return ScalePoint{}, err
 	}
-	return ScaleConfigStat{
-		Shards:           repo.Shards(),
+	return ScalePoint{
+		Ads:              len(base),
 		BuildSeconds:     buildSec,
 		SearchP50Micros:  percentileMicros(lat, 0.50),
 		SearchP95Micros:  percentileMicros(lat, 0.95),
@@ -319,36 +290,25 @@ func ScaleBench(opts ScaleBenchOptions) (*ScaleResult, error) {
 	})
 
 	res := &ScaleResult{
-		Note:       "sharded-repository scale sweep under concurrent churn; Section 5 artifacts run on the flat repository and are unaffected",
+		Note:       "repository scale sweep under concurrent churn; measures the implementation, not a Section 5 artifact",
 		Quick:      opts.Quick,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for _, n := range sizes {
 		base := BenchAds(n)
 		queries := scaleQueries(buckets, n)
-		flat, err := scaleConfig(1, base, churn, queries, ops, thrDur)
+		pt, err := scalePoint(base, churn, queries, ops, thrDur)
 		if err != nil {
-			return nil, fmt.Errorf("scale %d flat: %w", n, err)
-		}
-		sharded, err := scaleConfig(scaleShardsFor(n), base, churn, queries, ops, thrDur)
-		if err != nil {
-			return nil, fmt.Errorf("scale %d sharded: %w", n, err)
-		}
-		pt := ScalePoint{Ads: n, Flat: flat, Sharded: sharded}
-		if flat.ThroughputPerSec > 0 {
-			pt.ThroughputGainX = sharded.ThroughputPerSec / flat.ThroughputPerSec
-		}
-		if sharded.SearchP95Micros > 0 {
-			pt.P95SpeedupX = flat.SearchP95Micros / sharded.SearchP95Micros
+			return nil, fmt.Errorf("scale %d: %w", n, err)
 		}
 		res.Points = append(res.Points, pt)
 	}
 	first, last := res.Points[0], res.Points[len(res.Points)-1]
 	res.AdsGrowthX = float64(last.Ads) / float64(first.Ads)
-	if first.Sharded.SearchP95Micros > 0 {
-		res.ShardedP95GrowthX = last.Sharded.SearchP95Micros / first.Sharded.SearchP95Micros
+	if first.SearchP95Micros > 0 {
+		res.P95GrowthX = last.SearchP95Micros / first.SearchP95Micros
 	}
-	res.ShardedP95Sublinear = res.ShardedP95GrowthX < res.AdsGrowthX
+	res.P95Sublinear = res.P95GrowthX < res.AdsGrowthX
 	return res, nil
 }
 

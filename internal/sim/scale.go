@@ -2,8 +2,7 @@
 // repository churn (Put/Remove) and search arrivals, replayed by
 // `experiments -run scale` against real broker repositories. The
 // Section 5.2 simulator above models whole communities; this schedule
-// models the load on ONE broker at far beyond Section 5 scale, which is
-// the regime the sharded repository exists for.
+// models the load on ONE broker at far beyond Section 5 scale.
 package sim
 
 import (
