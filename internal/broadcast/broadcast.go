@@ -24,6 +24,7 @@ package broadcast
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,13 +109,25 @@ type Hub struct {
 
 	mu sync.RWMutex
 	// byClass holds the indexed tier: subscriptions registered for
-	// specific classes, keyed by lowercased class name then sub ID.
-	byClass map[string]map[string]*Sub
+	// specific classes, keyed by lowercased class name.
+	byClass map[string]*class
 	// all holds the evaluate-all tier: subscriptions whose queries could
 	// not be indexed; they receive every event.
 	all    map[string]*Sub
 	closed bool
 }
+
+// class is the indexed tier of one class: its subscriptions by ID, and a
+// region index over the same IDs that a publish probes instead of testing
+// every subscription's region.
+type class struct {
+	subs  map[string]*Sub
+	index *constraint.RegionIndex[string]
+}
+
+// candidates holds Publish's scratch list of the IDs a probe returns, so
+// a publish allocates nothing once the pool is warm.
+var candidates = sync.Pool{New: func() any { return new([]string) }}
 
 // New creates a hub.
 func New(opts Options) *Hub {
@@ -123,7 +136,7 @@ func New(opts Options) *Hub {
 	}
 	return &Hub{
 		opts:    opts,
-		byClass: make(map[string]map[string]*Sub),
+		byClass: make(map[string]*class),
 		all:     make(map[string]*Sub),
 	}
 }
@@ -131,8 +144,10 @@ func New(opts Options) *Hub {
 // Sub is one registered subscription: the index entry plus the bounded
 // queue feeding its sender.
 type Sub struct {
-	hub     *Hub
-	id      string
+	hub *Hub
+	id  string
+	// classes lists the distinct lowercased classes the subscription is
+	// indexed under.
 	classes []string
 	region  *constraint.Set
 	deliver Deliver
@@ -152,30 +167,78 @@ type Sub struct {
 // constraint region (nil = unconstrained); an empty classes list puts the
 // subscription in the evaluate-all tier, which sees every event. The hub
 // retains region and requires it to stay unmodified.
+//
+// Subscribing an ID that is already registered replaces the registration:
+// the earlier Sub leaves every class and tier it was in and is closed, as
+// if by its Close, and only the new region is indexed.
 func (h *Hub) Subscribe(id string, classes []string, region *constraint.Set, deliver Deliver) *Sub {
 	s := &Sub{hub: h, id: id, deliver: deliver, region: region}
 	for _, c := range classes {
-		s.classes = append(s.classes, strings.ToLower(c))
+		if c = strings.ToLower(c); !slices.Contains(s.classes, c) {
+			s.classes = append(s.classes, c)
+		}
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed {
+		h.mu.Unlock()
 		s.closed = true
 		return s
 	}
+	prev := h.registered(id)
+	if prev != nil {
+		h.unregister(prev)
+	}
 	if len(s.classes) == 0 {
 		h.all[id] = s
-		return s
 	}
 	for _, c := range s.classes {
-		m := h.byClass[c]
-		if m == nil {
-			m = make(map[string]*Sub)
-			h.byClass[c] = m
+		cl := h.byClass[c]
+		if cl == nil {
+			cl = &class{subs: make(map[string]*Sub), index: constraint.NewRegionIndex[string]()}
+			h.byClass[c] = cl
 		}
-		m[id] = s
+		cl.subs[id] = s
+		cl.index.Add(id, []*constraint.Set{region})
+	}
+	h.mu.Unlock()
+	if prev != nil {
+		prev.close()
 	}
 	return s
+}
+
+// registered returns the Sub registered under id, if any. h.mu must be
+// held.
+func (h *Hub) registered(id string) *Sub {
+	if s := h.all[id]; s != nil {
+		return s
+	}
+	for _, cl := range h.byClass {
+		if s := cl.subs[id]; s != nil {
+			return s
+		}
+	}
+	return nil
+}
+
+// unregister removes s from every class and tier it is registered in; a
+// Sub that an ID's later Subscribe replaced is registered nowhere. h.mu
+// must be held for writing.
+func (h *Hub) unregister(s *Sub) {
+	if h.all[s.id] == s {
+		delete(h.all, s.id)
+	}
+	for _, c := range s.classes {
+		cl := h.byClass[c]
+		if cl == nil || cl.subs[s.id] != s {
+			continue
+		}
+		delete(cl.subs, s.id)
+		cl.index.Remove(s.id, []*constraint.Set{s.region})
+		if len(cl.subs) == 0 {
+			delete(h.byClass, c)
+		}
+	}
 }
 
 // Publish routes an event: subscriptions indexed under the event's class
@@ -185,6 +248,10 @@ func (h *Hub) Subscribe(id string, classes []string, region *constraint.Set, del
 // subscriptions were skipped by the region test: the re-evaluations the
 // index saved. An event with an empty
 // Class enqueues every subscription. Publish never blocks on delivery.
+//
+// The class's region index narrows the indexed tier to the subscriptions
+// that may overlap the change; only those get the exact region test, so
+// a change costs the subscriptions it can reach, not the class's size.
 func (h *Hub) Publish(ev Event) (matched, skipped int) {
 	ev.Seq = h.seq.Add(1)
 	mEvents.Inc()
@@ -195,27 +262,34 @@ func (h *Hub) Publish(ev Event) (matched, skipped int) {
 	}
 	if ev.Class == "" {
 		// Unknown extent: every subscription must re-evaluate.
-		for _, byID := range h.byClass {
-			for _, s := range byID {
+		for _, cl := range h.byClass {
+			for _, s := range cl.subs {
 				if s.offer(ev) {
 					matched++
 				}
 			}
 		}
-	} else {
-		for _, s := range h.byClass[ev.Class] {
+	} else if cl := h.byClass[ev.Class]; cl != nil {
+		buf := candidates.Get().(*[]string)
+		ids := cl.index.AppendCandidates((*buf)[:0], ev.Region)
+		overlapping := 0
+		for _, id := range ids {
+			s := cl.subs[id]
 			// The subscription's region and the change's region overlap
 			// when every field both constrain admits a common value; a
 			// disjoint field proves the changed rows cannot satisfy the
 			// standing query's WHERE clause, so its answer is unchanged.
 			if !s.region.Overlaps(ev.Region) {
-				skipped++
 				continue
 			}
+			overlapping++
 			if s.offer(ev) {
 				matched++
 			}
 		}
+		skipped = len(cl.subs) - overlapping
+		*buf = ids[:0]
+		candidates.Put(buf)
 	}
 	for _, s := range h.all {
 		if s.offer(ev) {
@@ -250,12 +324,12 @@ func (h *Hub) Close() {
 	for _, s := range h.all {
 		subs = append(subs, s)
 	}
-	for _, byID := range h.byClass {
-		for _, s := range byID {
+	for _, cl := range h.byClass {
+		for _, s := range cl.subs {
 			subs = append(subs, s)
 		}
 	}
-	h.byClass = make(map[string]map[string]*Sub)
+	h.byClass = make(map[string]*class)
 	h.all = make(map[string]*Sub)
 	h.closed = true
 	h.mu.Unlock()
@@ -285,8 +359,8 @@ func (h *Hub) Stats() Stats {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	seen := make(map[string]bool)
-	for _, byID := range h.byClass {
-		for id := range byID {
+	for _, cl := range h.byClass {
+		for id := range cl.subs {
 			seen[id] = true
 		}
 	}
@@ -317,15 +391,7 @@ func (s *Sub) QueueStats() (queued int, coalesced, dropped uint64) {
 func (s *Sub) Close() {
 	h := s.hub
 	h.mu.Lock()
-	delete(h.all, s.id)
-	for _, c := range s.classes {
-		if byID := h.byClass[c]; byID != nil && byID[s.id] == s {
-			delete(byID, s.id)
-			if len(byID) == 0 {
-				delete(h.byClass, c)
-			}
-		}
-	}
+	h.unregister(s)
 	h.mu.Unlock()
 	s.close()
 }

@@ -35,7 +35,7 @@ func rangeSet(field string, lo, hi float64) *constraint.Set {
 	return constraint.NewSet(constraint.Atom{Field: field, Interval: constraint.NewRange(lo, hi)})
 }
 
-func flush(t *testing.T, h *Hub) {
+func flush(t testing.TB, h *Hub) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -128,7 +128,7 @@ func TestCoalesceToLatestUnderLoad(t *testing.T) {
 	_ = sub
 	var slow *Sub
 	h.mu.RLock()
-	slow = h.byClass["c2"]["slow"]
+	slow = h.byClass["c2"].subs["slow"]
 	h.mu.RUnlock()
 	queued, coalesced, dropped := slow.QueueStats()
 	if queued != 2 || coalesced != 1 || dropped != 0 {

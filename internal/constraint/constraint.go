@@ -21,7 +21,7 @@ package constraint
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -98,6 +98,10 @@ func (v Value) String() string {
 			return fmt.Sprintf("%d", int64(v.num))
 		}
 		return fmt.Sprintf("%g", v.num)
+	}
+	if strings.Contains(v.str, "'") {
+		// Only a double-quoted string can hold a single quote.
+		return `"` + v.str + `"`
 	}
 	return "'" + v.str + "'"
 }
@@ -394,6 +398,13 @@ func (a Atom) String() string {
 		}
 		return fmt.Sprintf("%s in (%s)", a.Field, strings.Join(parts, ", "))
 	}
+	if iv := a.Interval; iv.HasLo && iv.HasHi && (iv.LoOpen || iv.HiOpen) {
+		// The grammar has no range with an open end, and "in (lo, hi)"
+		// reads back as a value list: conjoin the two comparisons.
+		lower, upper := iv, iv
+		lower.HasHi, upper.HasLo = false, false
+		return fmt.Sprintf("%s %s AND %s %s", a.Field, lower, a.Field, upper)
+	}
 	return fmt.Sprintf("%s %s", a.Field, a.Interval)
 }
 
@@ -401,7 +412,10 @@ func (a Atom) String() string {
 // same field are intersected). The zero value is the empty conjunction,
 // which admits everything.
 type Set struct {
-	atoms map[string]Atom
+	// atoms is sorted by Field, one atom per field. Sets hold one to a
+	// handful of atoms, so a slice costs a fraction of a map and turns
+	// Overlaps and Covers into merges.
+	atoms []Atom
 }
 
 // NewSet returns a Set holding the given atoms.
@@ -413,16 +427,23 @@ func NewSet(atoms ...Atom) *Set {
 	return s
 }
 
+// find returns the position of field's atom, or where it would be
+// inserted, and whether it is there.
+func (s *Set) find(field string) (int, bool) {
+	return slices.BinarySearchFunc(s.atoms, field, func(a Atom, f string) int {
+		return strings.Compare(a.Field, f)
+	})
+}
+
 // Add conjoins an atom into the set, intersecting with any existing atom on
 // the same field.
 func (s *Set) Add(a Atom) {
-	if s.atoms == nil {
-		s.atoms = make(map[string]Atom)
+	i, ok := s.find(a.Field)
+	if ok {
+		s.atoms[i] = s.atoms[i].Intersect(a)
+		return
 	}
-	if prev, ok := s.atoms[a.Field]; ok {
-		a = prev.Intersect(a)
-	}
-	s.atoms[a.Field] = a
+	s.atoms = slices.Insert(s.atoms, i, a)
 }
 
 // Len returns the number of constrained fields.
@@ -438,8 +459,10 @@ func (s *Set) Atom(field string) (Atom, bool) {
 	if s == nil {
 		return Atom{}, false
 	}
-	a, ok := s.atoms[field]
-	return a, ok
+	if i, ok := s.find(field); ok {
+		return s.atoms[i], true
+	}
+	return Atom{}, false
 }
 
 // Fields returns the constrained field names in sorted order.
@@ -447,20 +470,18 @@ func (s *Set) Fields() []string {
 	if s == nil {
 		return nil
 	}
-	out := make([]string, 0, len(s.atoms))
-	for f := range s.atoms {
-		out = append(out, f)
+	out := make([]string, len(s.atoms))
+	for i, a := range s.atoms {
+		out[i] = a.Field
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Atoms returns the atoms in field order.
 func (s *Set) Atoms() []Atom {
-	fields := s.Fields()
-	out := make([]Atom, len(fields))
-	for i, f := range fields {
-		out[i] = s.atoms[f]
+	out := make([]Atom, s.Len())
+	if s != nil {
+		copy(out, s.atoms)
 	}
 	return out
 }
@@ -471,8 +492,8 @@ func (s *Set) Unsatisfiable() bool {
 	if s == nil {
 		return false
 	}
-	for _, a := range s.atoms {
-		if a.Empty() {
+	for i := range s.atoms {
+		if s.atoms[i].Empty() {
 			return true
 		}
 	}
@@ -492,9 +513,19 @@ func (s *Set) Overlaps(o *Set) bool {
 	if s == nil || o == nil {
 		return true
 	}
-	for f, a := range s.atoms {
-		if b, ok := o.atoms[f]; ok && !a.Overlaps(b) {
-			return false
+	a, b := s.atoms, o.atoms
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].Field, b[j].Field); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			if !a[i].Overlaps(b[j]) {
+				return false
+			}
+			i++
+			j++
 		}
 	}
 	return true
@@ -507,27 +538,23 @@ func (s *Set) Covers(o *Set) bool {
 	if o.Unsatisfiable() {
 		return true
 	}
-	if s == nil || s.Len() == 0 {
+	if s.Len() == 0 {
 		return true
 	}
-	for f, a := range s.atoms {
-		b, ok := o.atom(f)
-		if !ok {
+	if o == nil {
+		return false
+	}
+	b, j := o.atoms, 0
+	for _, a := range s.atoms {
+		for j < len(b) && b[j].Field < a.Field {
+			j++
+		}
+		if j == len(b) || b[j].Field != a.Field || !a.Covers(b[j]) {
 			return false
 		}
-		if !a.Covers(b) {
-			return false
-		}
+		j++
 	}
 	return true
-}
-
-func (s *Set) atom(field string) (Atom, bool) {
-	if s == nil {
-		return Atom{}, false
-	}
-	a, ok := s.atoms[field]
-	return a, ok
 }
 
 // Matches reports whether a concrete record (field → value) satisfies every
@@ -536,8 +563,8 @@ func (s *Set) Matches(record map[string]Value) bool {
 	if s == nil {
 		return true
 	}
-	for f, a := range s.atoms {
-		v, ok := record[f]
+	for _, a := range s.atoms {
+		v, ok := record[a.Field]
 		if !ok || !a.Matches(v) {
 			return false
 		}
@@ -548,13 +575,12 @@ func (s *Set) Matches(record map[string]Value) bool {
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	out := &Set{}
-	if s != nil {
-		for _, a := range s.atoms {
-			cp := a
+	if s.Len() > 0 {
+		out.atoms = slices.Clone(s.atoms)
+		for i, a := range out.atoms {
 			if a.Allowed != nil {
-				cp.Allowed = append([]Value(nil), a.Allowed...)
+				out.atoms[i].Allowed = slices.Clone(a.Allowed)
 			}
-			out.Add(cp)
 		}
 	}
 	return out
@@ -565,9 +591,8 @@ func (s *Set) String() string {
 	if s.Len() == 0 {
 		return "(true)"
 	}
-	atoms := s.Atoms()
-	parts := make([]string, len(atoms))
-	for i, a := range atoms {
+	parts := make([]string, len(s.atoms))
+	for i, a := range s.atoms {
 		parts[i] = "(" + a.String() + ")"
 	}
 	return strings.Join(parts, " AND ")

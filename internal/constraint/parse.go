@@ -15,7 +15,7 @@ import (
 //	term    := "(" expr ")" | atom | "true"
 //	atom    := field "between" value "and" value
 //	         | field op value
-//	         | field "in" "(" value { "," value } ")"
+//	         | field "in" "(" [ value { "," value } ] ")"
 //	op      := "=" | "!=" is not supported | "<" | "<=" | ">" | ">="
 //	field   := ident { "." ident }   -- e.g. patient.age, diagnosis_code
 //	value   := number | 'string' | "string" | bareword
@@ -112,7 +112,7 @@ func lex(s string) []token {
 			// A digit run flowing into letters is a bareword like 40W,
 			// not a number followed by an identifier.
 			if j < len(s) && (unicode.IsLetter(rune(s[j])) || s[j] == '_') {
-				for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_') {
+				for j < len(s) && identByte(s[j]) {
 					j++
 				}
 				toks = append(toks, token{tokIdent, s[i:j]})
@@ -122,7 +122,7 @@ func lex(s string) []token {
 			i = j
 		default:
 			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_' || s[j] == '.' || s[j] == '-') {
+			for j < len(s) && identByte(s[j]) {
 				j++
 			}
 			if j == i { // unknown byte; skip to avoid an infinite loop
@@ -134,6 +134,12 @@ func lex(s string) []token {
 		}
 	}
 	return toks
+}
+
+// identByte reports whether c continues an identifier or bareword,
+// however it began.
+func identByte(c byte) bool {
+	return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c)) || c == '_' || c == '.' || c == '-'
 }
 
 type parser struct {
@@ -232,6 +238,9 @@ func (p *parser) atom(set *Set) error {
 		return fmt.Errorf("expected a field name, got %q", p.peek())
 	}
 	field = normalizeField(field)
+	if !plainField(field) {
+		return fmt.Errorf("field %q: a field name holds ASCII letters, digits, '_' and '.'", field)
+	}
 
 	switch {
 	case p.acceptKeyword("between"):
@@ -255,6 +264,13 @@ func (p *parser) atom(set *Set) error {
 		}
 		if t.kind != tokLParen {
 			return fmt.Errorf("expected '(' after 'in', got %q", t.text)
+		}
+		// "in ()" is the empty list, which admits nothing: how an atom
+		// intersected down to no value renders.
+		if !p.eof() && p.toks[p.pos].kind == tokRParen {
+			p.pos++
+			set.Add(Atom{Field: field, Allowed: []Value{}})
+			return nil
 		}
 		var vals []Value
 		for {
@@ -365,4 +381,16 @@ func normalizeField(f string) string {
 	f = strings.ToLower(f)
 	f = strings.ReplaceAll(f, "-", "_")
 	return f
+}
+
+// plainField reports whether a normalized field name reads back as itself
+// when rendered: a '+' or a non-ASCII byte would lex apart.
+func plainField(f string) bool {
+	for i := 0; i < len(f); i++ {
+		c := f[i]
+		if !(c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '_' || c == '.') {
+			return false
+		}
+	}
+	return true
 }

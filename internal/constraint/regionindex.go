@@ -58,7 +58,8 @@ func (x *RegionIndex[ID]) Add(id ID, regions []*Set) {
 	if len(regions) > 0 && regions[0] != nil {
 		// A field is bounded in the hull only if every region bounds it,
 		// so the first region names every field worth a new tree.
-		for f := range regions[0].atoms {
+		for _, a := range regions[0].atoms {
+			f := a.Field
 			if x.fields[f] != nil || len(x.fields) >= maxIndexedFields {
 				continue
 			}
@@ -106,8 +107,8 @@ func (x *RegionIndex[ID]) AppendCandidates(dst []ID, probe *Set) []ID {
 	var usable [maxIndexedFields]stab
 	n := 0
 	if probe != nil && len(x.fields) > 0 {
-		for f, a := range probe.atoms {
-			t := x.fields[f]
+		for _, a := range probe.atoms {
+			t := x.fields[a.Field]
 			if t == nil || a.discrete() {
 				continue
 			}
@@ -147,7 +148,7 @@ func hull(field string, regions []*Set) (lo, hi float64) {
 	}
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, r := range regions {
-		a, ok := r.atom(field)
+		a, ok := r.Atom(field)
 		if !ok || a.discrete() {
 			return math.Inf(-1), math.Inf(1)
 		}

@@ -2,13 +2,15 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 
 	"infosleuth/internal/constraint"
 )
 
 // Update replaces the row with the given key. It fails on keyless tables,
 // missing keys, or rows that do not satisfy the schema. The new row's key
-// must equal the old one.
+// must equal the old one. Like Delete, it copies the rows slice instead
+// of writing it, so a running Scan's snapshot stays as it was.
 func (t *Table) Update(key constraint.Value, r Row) error {
 	if t.byKey == nil {
 		return fmt.Errorf("relational: table %q has no key; update unsupported", t.schema.Name)
@@ -37,7 +39,9 @@ func (t *Table) Update(key constraint.Value, r Row) error {
 	if !ok {
 		return fmt.Errorf("relational: table %q has no row with key %s", t.schema.Name, key)
 	}
-	t.rows[i] = append(Row(nil), r...)
+	rows := slices.Clone(t.rows)
+	rows[i] = append(Row(nil), r...)
+	t.rows = rows
 	return nil
 }
 
@@ -54,14 +58,14 @@ func (t *Table) Delete(key constraint.Value) bool {
 		return false
 	}
 	last := len(t.rows) - 1
+	rows := slices.Clone(t.rows[:last])
 	if i != last {
 		// Move the last row into the hole and fix its index.
-		t.rows[i] = t.rows[last]
+		rows[i] = t.rows[last]
 		ki := t.schema.ColIndex(t.schema.Key)
-		t.byKey[t.rows[i][ki].String()] = i
+		t.byKey[rows[i][ki].String()] = i
 	}
-	t.rows[last] = nil
-	t.rows = t.rows[:last]
+	t.rows = rows
 	delete(t.byKey, key.String())
 	return true
 }

@@ -1,7 +1,11 @@
 package relational
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+
+	"infosleuth/internal/constraint"
 )
 
 func mutTable(t *testing.T) *Table {
@@ -92,4 +96,60 @@ func TestDeleteKeyless(t *testing.T) {
 	if keyless.Delete(Num(1)) {
 		t.Error("keyless delete should report false")
 	}
+}
+
+// TestScanDuringUpdateAndDelete runs scans beside updates and deletes on
+// a keyed table. Each scan must see one snapshot: every key once, and as
+// many rows as the table held at some instant. Under -race it also holds
+// Update and Delete to never writing the rows a running scan reads.
+func TestScanDuringUpdateAndDelete(t *testing.T) {
+	const n = 100
+	tbl := MustNewTable(Schema{
+		Name:    "t",
+		Columns: []Column{{Name: "id", Type: TypeString}, {Name: "v", Type: TypeNumber}},
+		Key:     "id",
+	})
+	key := func(i int) constraint.Value { return Str(fmt.Sprintf("k%03d", i%n)) }
+	for i := 0; i < n; i++ {
+		tbl.MustInsert(Row{key(i), Num(float64(i))})
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			k := key(i * 7)
+			if i%3 == 0 {
+				if tbl.Delete(k) {
+					tbl.MustInsert(Row{k, Num(float64(i))})
+				}
+			} else if err := tbl.Update(k, Row{k, Num(float64(i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for scan := 0; scan < 300; scan++ {
+		seen := make(map[string]bool, n)
+		tbl.Scan(func(r Row) bool {
+			if k := r[0].Text(); seen[k] {
+				t.Errorf("scan %d saw key %s twice", scan, k)
+			} else {
+				seen[k] = true
+			}
+			return true
+		})
+		// A scan may begin between a Delete and the Insert that follows.
+		if len(seen) != n && len(seen) != n-1 {
+			t.Errorf("scan %d saw %d rows, want %d or %d", scan, len(seen), n, n-1)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -99,7 +99,9 @@ type Row []constraint.Value
 type Table struct {
 	schema Schema
 
-	mu   sync.RWMutex
+	mu sync.RWMutex
+	// rows is never written below its length: Insert appends past every
+	// Scan's snapshot, while Update and Delete build a new slice.
 	rows []Row
 	// byKey indexes row position by key value when a key is declared.
 	byKey map[string]int
@@ -192,13 +194,18 @@ func (t *Table) Lookup(key constraint.Value) (Row, bool) {
 	return append(Row(nil), t.rows[i]...), true
 }
 
-// Scan calls fn for each row (a copy); returning false stops the scan.
+// Scan calls fn for each row of the table as it stood when the scan
+// began; returning false stops the scan. fn receives the stored row, not a
+// copy, and must treat it as read-only. It may keep it: Update and Delete
+// replace rows and the rows slice instead of writing them, so a row or a
+// scan's snapshot is never written once stored, and the row's capacity
+// ends at its length, so an append to it copies.
 func (t *Table) Scan(fn func(Row) bool) {
 	t.mu.RLock()
 	rows := t.rows
 	t.mu.RUnlock()
 	for _, r := range rows {
-		if !fn(append(Row(nil), r...)) {
+		if !fn(r[:len(r):len(r)]) {
 			return
 		}
 	}

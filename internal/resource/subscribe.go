@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -60,7 +61,7 @@ type subscription struct {
 	sub *broadcast.Sub
 
 	mu       sync.Mutex
-	lastHash string
+	lastHash resultDigest
 	evals    uint64
 	updates  uint64
 	errors   uint64
@@ -408,24 +409,47 @@ func (a *Agent) Subscriptions() []string {
 	return out
 }
 
-// resultHash fingerprints a result for change detection; row order is
-// normalized out via a commutative combination.
-func resultHash(res *sqlparse.Result) string {
+// resultDigest fingerprints a result for change detection: its shape and
+// a commutative combination of per-row hashes, so row order is normalized
+// out. The zero value stands for no result.
+type resultDigest struct {
+	rows, cols int
+	sum        uint64
+}
+
+// resultHash digests a result. Each row is an FNV-1a hash over each
+// value's kind, then its number bits (-0 folded into 0) or its string
+// bytes, then a separator; it allocates nothing.
+func resultHash(res *sqlparse.Result) resultDigest {
 	if res == nil {
-		return ""
+		return resultDigest{}
 	}
+	const prime = 1099511628211
 	var acc uint64
 	for _, row := range res.Rows {
 		var h uint64 = 14695981039346656037
 		for _, v := range row {
-			for _, b := range []byte(v.String()) {
-				h = (h ^ uint64(b)) * 1099511628211
+			h = (h ^ uint64(v.Kind())) * prime
+			if v.Kind() == constraint.KindNumber {
+				x := v.Number()
+				if x == 0 {
+					x = 0 // -0 and 0 are one value
+				}
+				bits := math.Float64bits(x)
+				for i := 0; i < 64; i += 8 {
+					h = (h ^ (bits >> i & 0xff)) * prime
+				}
+			} else {
+				s := v.Text()
+				for i := 0; i < len(s); i++ {
+					h = (h ^ uint64(s[i])) * prime
+				}
 			}
-			h = (h ^ 0x1f) * 1099511628211
+			h = (h ^ 0x1f) * prime
 		}
 		acc += h
 	}
-	return fmt.Sprintf("%d:%d:%x", len(res.Rows), len(res.Columns), acc)
+	return resultDigest{rows: len(res.Rows), cols: len(res.Columns), sum: acc}
 }
 
 // notifyEntry is one record in the hot ring of recent notification

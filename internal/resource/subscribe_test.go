@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -371,8 +372,19 @@ func TestResultHashIgnoresRowOrder(t *testing.T) {
 	if resultHash(a) == resultHash(d) {
 		t.Error("cross-row cell swap collides")
 	}
-	if resultHash(nil) != "" {
+	if resultHash(nil) != (resultDigest{}) {
 		t.Error("nil result hash")
+	}
+	// Values of different kinds that print alike, and the two zeros.
+	num := &sqlparse.Result{Columns: []string{"a"}, Rows: []relational.Row{{relational.Num(1)}}}
+	str := &sqlparse.Result{Columns: []string{"a"}, Rows: []relational.Row{{relational.Str("1")}}}
+	if resultHash(num) == resultHash(str) {
+		t.Error("number 1 and string '1' collide")
+	}
+	zero := &sqlparse.Result{Columns: []string{"a"}, Rows: []relational.Row{{relational.Num(0)}}}
+	negZero := &sqlparse.Result{Columns: []string{"a"}, Rows: []relational.Row{{relational.Num(math.Copysign(0, -1))}}}
+	if resultHash(zero) != resultHash(negZero) {
+		t.Error("-0 and 0 hash differently: a spurious notification")
 	}
 }
 
