@@ -48,7 +48,6 @@ import (
 	"infosleuth/internal/mrq"
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/telemetry"
-	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/telemetry/recorder"
 	"infosleuth/internal/transport"
 )
@@ -124,11 +123,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var rec *recorder.Recorder
 	if *traceDump || *explain {
-		rec = recorder.New(recorder.Options{})
+		rec = recorder.New()
 		telemetry.SetSpanRecorder(rec)
-		provenance.SetRecorder(rec)
 		defer telemetry.SetSpanRecorder(nil)
-		defer provenance.SetRecorder(nil)
 	}
 
 	opts := outputOptions{
@@ -197,8 +194,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *trace {
-		fmt.Fprintf(stdout, "trace %s (%d spans):\n", reply.TraceID, len(reply.Trace))
-		for _, s := range reply.Trace {
+		spans := kqml.TimingSpans(reply.Trace)
+		fmt.Fprintf(stdout, "trace %s (%d spans):\n", reply.TraceID, len(spans))
+		for _, s := range spans {
 			fmt.Fprintf(stdout, "  hop %d  %-20s %-20s %d µs\n", s.Hop, s.Agent, s.Op, s.DurationMicros)
 		}
 	}

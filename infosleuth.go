@@ -52,7 +52,6 @@ import (
 	"infosleuth/internal/sim"
 	"infosleuth/internal/sqlparse"
 	"infosleuth/internal/telemetry"
-	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/telemetry/recorder"
 	"infosleuth/internal/transport"
 	"infosleuth/internal/useragent"
@@ -280,16 +279,16 @@ func ServeMetrics(addr string) (*MetricsServer, error) {
 	return telemetry.Serve(addr, telemetry.Default)
 }
 
-// InstallFlightRecorder creates a flight recorder with default bounds and
-// installs it process-wide: every traced conversation from then on records
-// its spans and decision-provenance events into it. Use
+// InstallFlightRecorder creates a flight recorder and installs it
+// process-wide as the one span recorder: every traced conversation from
+// then on records its timing spans and its decisions into it through the
+// same hook. Use
 // UserAgent.SubmitTraced (or telemetry.WithTraceID on a context) to start
 // a traced conversation, then read the assembled tree with the recorder's
 // Trace method or the full decision report with its Explain method.
 func InstallFlightRecorder() *FlightRecorder {
-	rec := recorder.New(recorder.Options{})
+	rec := recorder.New()
 	telemetry.SetSpanRecorder(rec)
-	provenance.SetRecorder(rec)
 	return rec
 }
 

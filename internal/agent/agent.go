@@ -242,7 +242,7 @@ func (a *Base) dispatch(msg *kqml.Message) *kqml.Message {
 			DurationMicros: d.Microseconds(),
 		}
 		kqml.PropagateTrace(msg, reply, span)
-		transport.RecordTraceSpans(msg.TraceID, span)
+		telemetry.RecordSpan(msg.TraceID, span)
 	}
 	return reply
 }
@@ -494,16 +494,17 @@ func (a *Base) QueryBrokers(ctx context.Context, q *ontology.Query) (*kqml.Broke
 }
 
 // QueryBrokersTraced is QueryBrokers with conversation tracing: it mints a
-// trace ID, carries it on the query, and returns the spans accumulated
-// across every agent that touched the conversation — one span per broker
-// hop in a multibroker search (Section 2.3's conversation, made visible).
+// trace ID, carries it on the query, and returns the timing spans
+// accumulated across every agent that touched the conversation — one span
+// per broker hop in a multibroker search (Section 2.3's conversation, made
+// visible).
 func (a *Base) QueryBrokersTraced(ctx context.Context, q *ontology.Query) (*kqml.BrokerReply, *kqml.Trace, error) {
 	traceID := telemetry.NewTraceID()
 	br, spans, err := a.queryBrokers(ctx, q, traceID)
 	if err != nil {
 		return nil, nil, err
 	}
-	return br, &kqml.Trace{ID: traceID, Spans: spans}, nil
+	return br, &kqml.Trace{ID: traceID, Spans: kqml.TimingSpans(spans)}, nil
 }
 
 func (a *Base) queryBrokers(ctx context.Context, q *ontology.Query, traceID string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
@@ -512,17 +513,16 @@ func (a *Base) queryBrokers(ctx context.Context, q *ontology.Query, traceID stri
 	}
 	start := time.Now()
 	br, spans, err := a.queryBrokersInner(ctx, q, traceID)
-	span := telemetry.Span{
-		TraceID:        traceID,
+	span := kqml.TraceSpan{
 		Agent:          a.cfg.Name,
 		Op:             telemetry.OpQueryBrokers,
-		StartUnixNano:  start.UnixNano(),
+		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
 	}
 	if err != nil {
 		span.Err = err.Error()
 	}
-	telemetry.RecordSpan(span)
+	telemetry.RecordSpan(traceID, span)
 	return br, spans, err
 }
 

@@ -15,6 +15,7 @@ import (
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/resilience"
 	"infosleuth/internal/stats"
+	"infosleuth/internal/telemetry"
 	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/transport"
 )
@@ -560,8 +561,8 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 	mQueries.With(b.cfg.Name).Inc()
 	start := time.Now()
 	// A traced query gathers the decisions made on its behalf (match
-	// accept/reject, forwarding) so they ride the reply envelope back
-	// toward the originator alongside the trace spans.
+	// accept/reject, forwarding) so they ride the reply envelope's trace
+	// back toward the originator.
 	ctx := context.Background()
 	var col *provenance.Collector
 	if msg.TraceID != "" {
@@ -570,7 +571,7 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 	reply, peerSpans, err := b.searchTraced(ctx, &bq, msg.TraceID)
 	if err != nil {
 		out := b.sorry(msg, err.Error())
-		out.Provenance = kqml.AppendProv(nil, col.Events()...)
+		out.Trace = kqml.AppendSpans(nil, col.Entries()...)
 		span := kqml.TraceSpan{
 			Agent:          b.cfg.Name,
 			Op:             kqml.OpBrokerSearch,
@@ -580,7 +581,7 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 			Err:            err.Error(),
 		}
 		kqml.PropagateTrace(msg, out, span)
-		transport.RecordTraceSpans(msg.TraceID, span)
+		telemetry.RecordSpan(msg.TraceID, span)
 		slog.Debug("broker query failed", "broker", b.cfg.Name, "err", err, "trace_id", msg.TraceID)
 		return out
 	}
@@ -588,14 +589,12 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 	// processing failures. The paper's broker replies with "no matches",
 	// which agents use in broker pings.
 	out := b.reply(msg, kqml.Tell, reply)
-	// The reply carries the peers' spans first, then this broker's own,
-	// so the originator reads the trace innermost-hop-first with its
-	// entry broker last. AppendSpans keeps a deep forwarding fan-out from
-	// bloating the frame past the envelope span cap; AppendProv applies
-	// the same cap to the gathered decision events (the collector holds
-	// this broker's own decisions plus those folded in from peer replies).
-	out.Trace = kqml.AppendSpans(nil, peerSpans...)
-	out.Provenance = kqml.AppendProv(nil, col.Events()...)
+	// The reply carries this broker's decisions, then the peers' entries
+	// (their spans and decisions), then this broker's own span, so the
+	// originator reads the spans innermost-hop-first with its entry broker
+	// last. AppendSpans keeps a deep forwarding fan-out, or a flood of
+	// match decisions, from bloating the frame past the envelope caps.
+	out.Trace = kqml.AppendSpans(kqml.AppendSpans(nil, col.Entries()...), peerSpans...)
 	span := kqml.TraceSpan{
 		Agent:          b.cfg.Name,
 		Op:             kqml.OpBrokerSearch,
@@ -604,7 +603,7 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 		DurationMicros: time.Since(start).Microseconds(),
 	}
 	kqml.PropagateTrace(msg, out, span)
-	transport.RecordTraceSpans(msg.TraceID, span)
+	telemetry.RecordSpan(msg.TraceID, span)
 	return out
 }
 
@@ -619,7 +618,7 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 
 // searchTraced is Search carrying a conversation trace ID: forwarded
 // queries propagate the ID so every broker in the search stamps a span,
-// and the spans peers returned come back alongside the reply.
+// and the trace entries peers returned come back alongside the reply.
 func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 	q := bq.Query
 	if err := q.Validate(); err != nil {
@@ -865,11 +864,9 @@ func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, ho
 	if err := reply.DecodeContent(&br); err != nil {
 		return nil, nil, err
 	}
-	// The peer's reply carries its own subtree's decision events; fold
-	// them into this search's collector so they propagate transitively
-	// (the transport bridge already mirrored them into the local
-	// recorder).
-	provenance.CollectReply(ctx, reply)
+	// The peer's trace carries its subtree's spans and decisions; they
+	// propagate transitively on this broker's reply (the transport
+	// already mirrored them into the local recorder).
 	return &br, reply.Trace, nil
 }
 

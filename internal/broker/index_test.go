@@ -399,8 +399,8 @@ func TestExplainStillListsRejections(t *testing.T) {
 	ctx, collector := provenance.WithCollector(context.Background())
 	b.emitMatchProvenance(provenance.For(ctx, "trace-1"), q, false, 0)
 	got := map[string]string{}
-	for _, ev := range collector.Events() {
-		if ev.Kind == kqml.ProvMatch {
+	for _, s := range collector.Entries() {
+		if ev := s.Decision; ev != nil && ev.Kind == kqml.ProvMatch {
 			got[ev.Match.Ad] = ev.Match.Reason
 		}
 	}

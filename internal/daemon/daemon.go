@@ -30,7 +30,6 @@ import (
 	"infosleuth/internal/stats"
 	"infosleuth/internal/telemetry"
 	"infosleuth/internal/telemetry/logging"
-	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/telemetry/recorder"
 	"infosleuth/internal/transport"
 )
@@ -148,9 +147,8 @@ func (o *Options) ServeTelemetry(logger *slog.Logger, ready func() error, extra 
 	if o.MetricsAddr == "" {
 		return func() {}, nil
 	}
-	rec := recorder.New(recorder.Options{})
+	rec := recorder.New()
 	telemetry.SetSpanRecorder(rec)
-	provenance.SetRecorder(rec)
 	telemetry.Default.EnableRuntimeMetrics()
 	opts := []telemetry.ServeOption{
 		telemetry.WithHandler("/traces", rec.Handler()),

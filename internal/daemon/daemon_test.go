@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"infosleuth/internal/telemetry"
-	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/transport"
 )
 
@@ -68,10 +67,9 @@ func TestObservabilityFlags(t *testing.T) {
 }
 
 func TestServeTelemetryBadSLOSpec(t *testing.T) {
-	// ServeTelemetry installs the global recorders before it parses -slo;
-	// put them back so the failure path leaves no observer behind.
+	// ServeTelemetry installs the global recorder before it parses -slo;
+	// put it back so the failure path leaves no observer behind.
 	defer telemetry.SetSpanRecorder(telemetry.SetSpanRecorder(nil))
-	defer provenance.SetRecorder(provenance.SetRecorder(nil))
 	o := parse(t, "-metrics-addr", "127.0.0.1:0", "-slo", "mrq.run=banana")
 	stop, err := o.ServeTelemetry(slog.New(slog.NewTextHandler(io.Discard, nil)), nil)
 	if err == nil {

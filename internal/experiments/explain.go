@@ -8,7 +8,6 @@ import (
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/relational"
 	"infosleuth/internal/telemetry"
-	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/telemetry/recorder"
 )
 
@@ -35,11 +34,9 @@ type ExplainArtifact struct {
 // clause the MRQ pushes down to the resources. The returned artifact is
 // the end-to-end answer to "why did I get this result?".
 func ExplainDemo() (*ExplainArtifact, error) {
-	rec := recorder.New(recorder.Options{})
-	prevSpans := telemetry.SetSpanRecorder(rec)
-	defer telemetry.SetSpanRecorder(prevSpans)
-	prevProv := provenance.SetRecorder(rec)
-	defer provenance.SetRecorder(prevProv)
+	rec := recorder.New()
+	prev := telemetry.SetSpanRecorder(rec)
+	defer telemetry.SetSpanRecorder(prev)
 
 	c, err := community.New(community.Config{Brokers: 2})
 	if err != nil {

@@ -43,7 +43,7 @@ type FleetArtifact struct {
 // which in a daemon-per-process deployment carries each process's own
 // registry.
 func Fleet() (*FleetArtifact, error) {
-	rec := recorder.New(recorder.Options{})
+	rec := recorder.New()
 	prevRec := telemetry.SetSpanRecorder(rec)
 	defer telemetry.SetSpanRecorder(prevRec)
 

@@ -37,7 +37,7 @@ type TraceArtifact struct {
 // broker hops at depth 0 and 1, and resource query spans in one
 // structure.
 func Traces() (*TraceArtifact, error) {
-	rec := recorder.New(recorder.Options{})
+	rec := recorder.New()
 	prev := telemetry.SetSpanRecorder(rec)
 	defer telemetry.SetSpanRecorder(prev)
 

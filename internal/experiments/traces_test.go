@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
 	"infosleuth/internal/telemetry/recorder"
 )
@@ -59,14 +60,14 @@ func TestTracesArtifact(t *testing.T) {
 	if n, _ := count(telemetry.OpUserSubmit); n != 1 {
 		t.Errorf("tree holds %d useragent.submit spans, want 1", n)
 	}
-	searches, maxHop := count(telemetry.OpBrokerSearch)
+	searches, maxHop := count(kqml.OpBrokerSearch)
 	if searches < 2 {
 		t.Errorf("tree holds %d broker.search spans, want >= 2 (entry + forward)", searches)
 	}
 	if maxHop < 1 {
 		t.Errorf("max broker.search hop = %d, want >= 1 (an inter-broker forward)", maxHop)
 	}
-	if n, _ := count(telemetry.OpResourceQuery); n < 1 {
+	if n, _ := count(kqml.OpResourceQuery); n < 1 {
 		t.Errorf("tree holds %d resource.query spans, want >= 1", n)
 	}
 

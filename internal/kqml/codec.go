@@ -14,9 +14,9 @@ import (
 // file produces and consumes those same bytes without reflection for the
 // envelope and for the payloads that carry rows (SQLResult, alone or
 // inside UpdateContent and SubscribeAck). Every other payload, and the
-// trace and provenance annexes, are small and off the data path and go
-// through encoding/json, as does any input the hand-written decoders do
-// not recognize: they handle the one shape the encoders emit and leave the
+// trace annex, are small and off the data path and go through
+// encoding/json, as does any input the hand-written decoders do not
+// recognize: they handle the one shape the encoders emit and leave the
 // question of what else is acceptable to encoding/json.
 
 // Marshal frames a message for the wire.
@@ -27,7 +27,7 @@ func Marshal(m *Message) ([]byte, error) {
 // frameSizeHint is about how long m's frame is, for sizing a buffer.
 func (m *Message) frameSizeHint() int {
 	return 192 + len(m.Sender) + len(m.Receiver) + len(m.ReplyTo) + len(m.Language) + len(m.Ontology) +
-		len(m.ReplyWith) + len(m.InReplyTo) + len(m.TraceID) + 128*len(m.Trace) + 256*len(m.Provenance) + len(m.Content)
+		len(m.ReplyWith) + len(m.InReplyTo) + len(m.TraceID) + 128*len(m.Trace) + len(m.Content)
 }
 
 // AppendMessage appends m's frame to dst: Marshal into a buffer the
@@ -57,13 +57,6 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 			return dst, err
 		}
 		dst = append(append(dst, `,"trace":`...), annex...)
-	}
-	if len(m.Provenance) > 0 {
-		annex, err := json.Marshal(m.Provenance)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(append(dst, `,"provenance":`...), annex...)
 	}
 	if len(m.Content) > 0 {
 		content := []byte(m.Content)
@@ -138,9 +131,6 @@ func (m *Message) decodeEnvelope(data []byte) bool {
 		}
 	}
 	if d.Lit(`,"trace":`) && !decodeAnnex(&d, &m.Trace) {
-		return false
-	}
-	if d.Lit(`,"provenance":`) && !decodeAnnex(&d, &m.Provenance) {
 		return false
 	}
 	if d.Lit(`,"content":`) {

@@ -268,41 +268,42 @@ func (g gen) result() SQLResult {
 
 func (g gen) spans() []TraceSpan {
 	var out []TraceSpan
-	for n := g.r.Intn(4); n > 0; n-- {
-		out = append(out, TraceSpan{
+	for n := g.r.Intn(5); n > 0; n-- {
+		s := TraceSpan{
 			Agent: g.str(), Op: g.str(), Hop: g.r.Intn(3), Start: g.r.Int63n(3) * 1726000000000000000,
-			DurationMicros: g.r.Int63n(5000), Err: g.maybe(), Dropped: g.r.Intn(2) * g.r.Intn(70),
-		})
+			DurationMicros: g.r.Int63n(5000), Err: g.maybe(),
+		}
+		switch g.r.Intn(4) {
+		case 0:
+			s = TraceSpan{Op: OpTraceDropped, Dropped: 1 + g.r.Intn(70)}
+		case 1:
+			s.Op, s.Decision = OpDecision, g.decision()
+		}
+		out = append(out, s)
 	}
 	return out
 }
 
-func (g gen) provenance() []ProvEvent {
-	var out []ProvEvent
-	for n := g.r.Intn(4); n > 0; n-- {
-		e := ProvEvent{Agent: g.maybe()}
-		switch g.r.Intn(7) {
-		case 0:
-			e.Kind, e.Match = ProvMatch, &MatchDecision{Ad: g.str(), Engine: g.maybe(), Accepted: g.r.Intn(2) == 0,
-				Reason: g.maybe(), Coverage: g.maybe(), Specificity: g.r.Intn(9), CacheHit: g.r.Intn(2) == 0, Generation: g.r.Uint64()}
-		case 1:
-			e.Kind, e.Pushdown = ProvPushdown, &PushdownDecision{Class: g.str(), Pushed: g.strs(), Blocked: g.strs(), Columns: g.strs(), Fallback: g.maybe()}
-		case 2:
-			e.Kind, e.Fetch = ProvFetch, &FetchReport{Resource: g.str(), Class: g.str(), SQL: g.maybe(), Pushed: g.r.Intn(2) == 0,
-				Bytes: g.r.Int63n(1 << 20), LatencyMicros: g.r.Int63n(9000), Err: g.maybe()}
-		case 3:
-			e.Kind, e.Failover = ProvFailover, &FailoverDecision{Class: g.str(), Lost: g.str(), CoveredBy: g.maybe(), Note: g.maybe()}
-		case 4:
-			e.Kind, e.Forward = ProvForward, &ForwardDecision{Peer: g.str(), Skipped: g.maybe(), Matches: g.r.Intn(5), Err: g.maybe()}
-		case 5:
-			e.Kind, e.Plan = ProvPlan, &PlanDecision{Class: g.str(), Order: g.strs(), CostsMicros: []int64{g.r.Int63n(99), 7},
-				SemiJoin: g.r.Intn(2) == 0, Build: g.maybe(), Probe: g.maybe(), Keys: g.r.Intn(2000), Aggregates: g.strs(), Fallback: g.maybe()}
-		default:
-			e.Kind, e.Dropped = ProvDropped, 1+g.r.Intn(9)
-		}
-		out = append(out, e)
+func (g gen) decision() *ProvEvent {
+	e := &ProvEvent{Agent: g.maybe()}
+	switch g.r.Intn(6) {
+	case 0:
+		e.Kind, e.Match = ProvMatch, &MatchDecision{Ad: g.str(), Engine: g.maybe(), Accepted: g.r.Intn(2) == 0,
+			Reason: g.maybe(), Coverage: g.maybe(), Specificity: g.r.Intn(9), CacheHit: g.r.Intn(2) == 0, Generation: g.r.Uint64()}
+	case 1:
+		e.Kind, e.Pushdown = ProvPushdown, &PushdownDecision{Class: g.str(), Pushed: g.strs(), Blocked: g.strs(), Columns: g.strs(), Fallback: g.maybe()}
+	case 2:
+		e.Kind, e.Fetch = ProvFetch, &FetchReport{Resource: g.str(), Class: g.str(), SQL: g.maybe(), Pushed: g.r.Intn(2) == 0,
+			Bytes: g.r.Int63n(1 << 20), LatencyMicros: g.r.Int63n(9000), Err: g.maybe()}
+	case 3:
+		e.Kind, e.Failover = ProvFailover, &FailoverDecision{Class: g.str(), Lost: g.str(), CoveredBy: g.maybe(), Note: g.maybe()}
+	case 4:
+		e.Kind, e.Forward = ProvForward, &ForwardDecision{Peer: g.str(), Skipped: g.maybe(), Matches: g.r.Intn(5), Err: g.maybe()}
+	default:
+		e.Kind, e.Plan = ProvPlan, &PlanDecision{Class: g.str(), Order: g.strs(), CostsMicros: []int64{g.r.Int63n(99), 7},
+			SemiJoin: g.r.Intn(2) == 0, Build: g.maybe(), Probe: g.maybe(), Keys: g.r.Intn(2000), Aggregates: g.strs(), Fallback: g.maybe()}
 	}
-	return out
+	return e
 }
 
 // content returns a payload of the kind the performative usually carries,
@@ -360,7 +361,6 @@ func (g gen) message(p Performative) (*Message, any) {
 		Ontology: g.maybe(), ReplyWith: g.maybe(), InReplyTo: g.maybe()}
 	if g.r.Intn(3) == 0 {
 		m.TraceID, m.Trace = g.str(), g.spans()
-		m.Provenance = g.provenance()
 	}
 	return m, g.content(p)
 }
@@ -556,6 +556,8 @@ func FuzzUnmarshal(f *testing.F) {
 		`{"performative":"tell","sender":"a"}`, `{"sender":"a","performative":"tell"}`, `{"performative":"","sender":"a"}`,
 		`{"performative":"tell","sender":"a","content":null}`, `{"performative":"tell","sender":"a","content": {"a" : 1}}`,
 		`{"performative":"tell","sender":null}`, `{"performative":"tell","sender":"a","trace":null,"provenance":[]}`,
+		`{"performative":"tell","sender":"a","trace":[{"agent":"B1","op":"decision","start":1,"decision":{"kind":"forward","forward":null}}]}`,
+		`{"performative":"tell","sender":"a","trace":[{"agent":"","op":"trace.dropped","dropped":-3},{"op":"decision","decision":7}]}`,
 		`{"performative":"tell","sender":"a","trace":[{"agent":"x","op":"y","hop":"z"}]}`, `{"Performative":"tell","SENDER":"a"}`,
 		`{"performative":"tell","sender":"a","receiver":"b","receiver":"c"}`, `{"performative":"tell","sender":"a","extra":1}`,
 		`{"performative":"tell","sender":"a","content":[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]}`,

@@ -82,13 +82,11 @@ type Message struct {
 	// (Section 2.3) across user agent, brokers and resource agents.
 	// Empty means the conversation is untraced.
 	TraceID string `json:"trace-id,omitempty"`
-	// Trace accumulates one span per hop the conversation took; replies
-	// carry the spans gathered so far back toward the originator.
+	// Trace accumulates one span per hop the conversation took, and one
+	// per decision a hop made (match accept/reject, pushdown plans,
+	// failovers, forwards); replies carry the entries gathered so far back
+	// toward the originator. See TraceSpan and AppendSpans.
 	Trace []TraceSpan `json:"trace,omitempty"`
-	// Provenance accumulates decision events ("why" records: match
-	// accept/reject, pushdown plans, failovers, forwards) the same way
-	// Trace accumulates spans; see ProvEvent and AppendProv.
-	Provenance []ProvEvent `json:"provenance,omitempty"`
 	// Content is the typed payload, JSON-encoded.
 	Content json.RawMessage `json:"content,omitempty"`
 	// encoded is the slice SetContent last stored in Content. While
@@ -97,10 +95,12 @@ type Message struct {
 	encoded json.RawMessage
 }
 
-// TraceSpan records one hop of a traced conversation: which agent did what
-// and how long it took. Spans ride the KQML envelope next to the
-// conversation bookkeeping fields, so any agent can follow a query from
-// user agent through brokers to resource agents and back.
+// TraceSpan is one entry of a traced conversation: a timing span records
+// which agent did what and how long it took; a decision (Decision set, Op
+// OpDecision) records why the agent chose what it did. Entries ride the
+// KQML envelope next to the conversation bookkeeping fields, so any agent
+// can follow a query from user agent through brokers to resource agents
+// and back.
 type TraceSpan struct {
 	// Agent names the agent the span describes.
 	Agent string `json:"agent"`
@@ -114,20 +114,35 @@ type TraceSpan struct {
 	// Start is the span's start time in Unix nanoseconds. It lets the
 	// flight recorder order and nest spans that arrive out of order, and
 	// distinguishes a span observed locally from a genuinely different
-	// one carried on a reply envelope.
+	// one carried on a reply envelope. A decision's Start is the moment it
+	// was emitted, unique within the emitting process.
 	Start int64 `json:"start,omitempty"`
 	// DurationMicros is the span's processing time in microseconds.
 	DurationMicros int64 `json:"us,omitempty"`
 	// Err is the error the spanned step returned, empty on success.
 	Err string `json:"err,omitempty"`
-	// Dropped is only set on OpTraceDropped marker spans: how many spans
+	// Dropped is only set on the OpTraceDropped marker: how many entries
 	// were evicted from this envelope's trace to respect MaxTraceSpans.
 	Dropped int `json:"dropped,omitempty"`
+	// Decision is set on decision entries only.
+	Decision *ProvEvent `json:"decision,omitempty"`
+}
+
+// TimingSpans returns the entries of trace that are not decisions: the
+// timing spans and the drop marker, in order.
+func TimingSpans(trace []TraceSpan) []TraceSpan {
+	var out []TraceSpan
+	for _, s := range trace {
+		if s.Decision == nil {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // Trace is a completed conversation trace, returned by traced query
-// entry points: the ID that tied the messages together plus every span
-// gathered on the way back to the originator.
+// entry points: the ID that tied the messages together plus every timing
+// span gathered on the way back to the originator.
 type Trace struct {
 	ID    string      `json:"id"`
 	Spans []TraceSpan `json:"spans"`
@@ -158,71 +173,101 @@ const OpBrokerSearch = "broker.search"
 // one query execution against its repository.
 const OpResourceQuery = "resource.query"
 
-// OpTraceDropped marks a synthetic span standing in for spans evicted
+// OpTraceDropped marks a synthetic entry standing in for entries evicted
 // from an envelope's trace (see MaxTraceSpans); its Dropped field carries
 // how many were folded away.
 const OpTraceDropped = "trace.dropped"
 
-// MaxTraceSpans bounds how many spans one message envelope carries,
-// marker included. A deep or pathological forwarding chain appends spans
-// at every hop; without a cap a forward loop could bloat every frame on
-// the path toward the transport's frame limit. Overflow drops the oldest
-// spans and accounts for them in a leading OpTraceDropped marker.
+// OpDecision is the TraceSpan.Op of a decision entry. No timing span uses
+// it, so a decision never passes for a span of the same name.
+const OpDecision = "decision"
+
+// MaxTraceSpans bounds each kind of entry one message envelope carries:
+// at most MaxTraceSpans timing spans and at most MaxTraceSpans decisions.
+// A deep or pathological forwarding chain appends spans at every hop, and
+// a broker with thousands of candidate ads emits a decision for each;
+// without a cap either could bloat every frame on the path toward the
+// transport's frame limit. Overflow drops the oldest entries of the kind
+// that overflowed and accounts for them in one leading OpTraceDropped
+// marker, which takes a slot of that kind.
 const MaxTraceSpans = 64
 
-// AppendSpans appends spans to an envelope trace while enforcing
-// MaxTraceSpans: when the combined trace overflows, the oldest spans are
-// dropped and a single marker span at index 0 accumulates the dropped
-// count (markers already present anywhere in either input — a merged
-// peer trace can carry its own — are coalesced into it).
+// AppendSpans appends entries to an envelope trace while keeping each
+// kind within MaxTraceSpans. A kind overflows when it holds more than
+// MaxTraceSpans entries, or when this append adds to it and it reaches
+// MaxTraceSpans beside a marker already in either input; it then keeps its
+// newest MaxTraceSpans-1 entries. One marker at index 0 accumulates the
+// dropped count (markers already present anywhere in either input — a
+// merged peer trace can carry its own — are coalesced into it). A kind
+// the append adds nothing to is never cut for the marker's sake, so a
+// flood of decisions never evicts a timing span.
 func AppendSpans(dst []TraceSpan, spans ...TraceSpan) []TraceSpan {
 	if len(spans) == 0 && len(dst) <= MaxTraceSpans {
 		return dst
 	}
-	hasMarker := false
-	for _, s := range dst {
-		if s.Op == OpTraceDropped {
-			hasMarker = true
-			break
-		}
-	}
-	if !hasMarker {
-		for _, s := range spans {
+	var n [2]int      // entries per kind (timing spans, decisions), markers aside
+	var added [2]bool // kinds spans adds to
+	marker := false
+	for i, in := range [2][]TraceSpan{dst, spans} {
+		for j := range in {
+			s := &in[j]
 			if s.Op == OpTraceDropped {
-				hasMarker = true
-				break
+				marker = true
+				continue
 			}
+			k := kindOf(s)
+			n[k]++
+			added[k] = added[k] || i == 1
 		}
 	}
-	if !hasMarker && len(dst)+len(spans) <= MaxTraceSpans {
+	var evict [2]int
+	for k := range n {
+		over := n[k] - MaxTraceSpans
+		if marker && added[k] {
+			over++
+		}
+		if over > 0 {
+			evict[k] = n[k] - (MaxTraceSpans - 1)
+		}
+	}
+	if !marker && evict == [2]int{} {
 		return append(dst, spans...)
 	}
-	// Slow path: strip markers, summing their counts, then cap.
-	dropped := 0
-	all := make([]TraceSpan, 0, len(dst)+len(spans))
+	// Slow path: strip markers, summing their counts, and evict.
+	dropped := evict[0] + evict[1]
+	out := make([]TraceSpan, 1, 1+n[0]+n[1]-dropped)
 	for _, in := range [2][]TraceSpan{dst, spans} {
-		for _, s := range in {
+		for j := range in {
+			s := &in[j]
 			if s.Op == OpTraceDropped {
 				dropped += s.Dropped
 				continue
 			}
-			all = append(all, s)
+			if k := kindOf(s); evict[k] > 0 {
+				evict[k]--
+				continue
+			}
+			out = append(out, *s)
 		}
 	}
-	if over := len(all) - (MaxTraceSpans - 1); over > 0 {
-		dropped += over
-		all = all[over:]
-	}
 	if dropped == 0 {
-		return all
+		return out[1:]
 	}
-	out := make([]TraceSpan, 0, len(all)+1)
-	out = append(out, TraceSpan{Op: OpTraceDropped, Dropped: dropped})
-	return append(out, all...)
+	out[0] = TraceSpan{Op: OpTraceDropped, Dropped: dropped}
+	return out
+}
+
+// kindOf indexes the per-kind budgets: 0 for timing spans, 1 for
+// decisions.
+func kindOf(s *TraceSpan) int {
+	if s.Decision != nil {
+		return 1
+	}
+	return 0
 }
 
 // PropagateTrace copies the request's trace identity onto a reply and
-// appends the given span (respecting MaxTraceSpans); it is a no-op for
+// appends the given entry (respecting MaxTraceSpans); it is a no-op for
 // untraced conversations, so callers can apply it unconditionally on hot
 // paths.
 func PropagateTrace(req, reply *Message, span TraceSpan) {

@@ -1,14 +1,15 @@
 package kqml
 
-// Decision provenance: typed "why" events that ride reply envelopes next
-// to trace spans. Where a TraceSpan records that a hop happened and how
-// long it took, a ProvEvent records the decision the hop made — which
+// Decision provenance: typed "why" events that ride reply envelopes as
+// entries of the trace. Where a timing span records that a hop happened
+// and how long it took, a ProvEvent records the decision the hop made — which
 // advertisements matched and why the near-misses were rejected, which
 // predicates were pushed down to a resource and which were blocked, which
 // fragment failovers were absorbed by a covering replica, which peer
-// brokers a search skipped. The kqml package stays telemetry-free: events
-// are plain data here; the telemetry/provenance package routes them into
-// the flight recorder.
+// brokers a search skipped. A decision is carried as a TraceSpan whose
+// Decision field holds the event (see OpDecision). The kqml package stays
+// telemetry-free: events are plain data here; the telemetry/provenance
+// package stamps them and routes them into the flight recorder.
 
 // ProvEvent kinds (the Kind discriminator selects which detail field is
 // set).
@@ -32,14 +33,10 @@ const (
 	// fragment fan-out order for a class, a semi-join rewrite, or an
 	// aggregate pushdown (with its fallback reason when abandoned).
 	ProvPlan = "plan"
-	// ProvDropped marks a synthetic event standing in for events evicted
-	// from an envelope to respect MaxProvEvents; its Dropped field carries
-	// how many were folded away.
-	ProvDropped = "prov.dropped"
 )
 
 // ProvEvent is one decision-provenance event. Exactly one of the detail
-// pointers is set, selected by Kind (none on a ProvDropped marker).
+// pointers is set, selected by Kind.
 type ProvEvent struct {
 	// Kind is one of the Prov* constants.
 	Kind string `json:"kind"`
@@ -52,10 +49,6 @@ type ProvEvent struct {
 	Failover *FailoverDecision `json:"failover,omitempty"`
 	Forward  *ForwardDecision  `json:"forward,omitempty"`
 	Plan     *PlanDecision     `json:"plan,omitempty"`
-
-	// Dropped is only set on ProvDropped markers: how many events were
-	// evicted from this envelope to respect MaxProvEvents.
-	Dropped int `json:"dropped,omitempty"`
 }
 
 // MatchDecision records one candidate advertisement's fate during broker
@@ -185,62 +178,4 @@ type ForwardDecision struct {
 	Matches int `json:"matches,omitempty"`
 	// Err is the forwarding error, empty on success or skip.
 	Err string `json:"err,omitempty"`
-}
-
-// MaxProvEvents bounds how many provenance events one message envelope
-// carries, marker included — the same discipline as MaxTraceSpans, and
-// for the same reason: a deep forwarding chain appends events at every
-// hop, and frames must stay bounded. Overflow drops the oldest events and
-// accounts for them in a leading ProvDropped marker.
-const MaxProvEvents = 64
-
-// AppendProv appends events to an envelope's provenance while enforcing
-// MaxProvEvents: when the combined list overflows, the oldest events are
-// dropped and a single marker event at index 0 accumulates the dropped
-// count (markers already present anywhere in either input — a merged peer
-// reply can carry its own — are coalesced into it).
-func AppendProv(dst []ProvEvent, events ...ProvEvent) []ProvEvent {
-	if len(events) == 0 && len(dst) <= MaxProvEvents {
-		return dst
-	}
-	hasMarker := false
-	for _, e := range dst {
-		if e.Kind == ProvDropped {
-			hasMarker = true
-			break
-		}
-	}
-	if !hasMarker {
-		for _, e := range events {
-			if e.Kind == ProvDropped {
-				hasMarker = true
-				break
-			}
-		}
-	}
-	if !hasMarker && len(dst)+len(events) <= MaxProvEvents {
-		return append(dst, events...)
-	}
-	// Slow path: strip markers, summing their counts, then cap.
-	dropped := 0
-	all := make([]ProvEvent, 0, len(dst)+len(events))
-	for _, in := range [2][]ProvEvent{dst, events} {
-		for _, e := range in {
-			if e.Kind == ProvDropped {
-				dropped += e.Dropped
-				continue
-			}
-			all = append(all, e)
-		}
-	}
-	if over := len(all) - (MaxProvEvents - 1); over > 0 {
-		dropped += over
-		all = all[over:]
-	}
-	if dropped == 0 {
-		return all
-	}
-	out := make([]ProvEvent, 0, len(all)+1)
-	out = append(out, ProvEvent{Kind: ProvDropped, Dropped: dropped})
-	return append(out, all...)
 }

@@ -221,12 +221,11 @@ func (a *Agent) fetchFragments(ctx context.Context, class, key string, stmt *sql
 		if replica := plan.coveringReplica(matches[i], okAds); replica != nil {
 			resilience.RecordFailover()
 			if traceID != "" {
-				telemetry.RecordSpan(telemetry.Span{
-					TraceID:       traceID,
-					Agent:         matches[i].Name,
-					Op:            telemetry.OpFailover,
-					StartUnixNano: time.Now().UnixNano(),
-					Err:           e,
+				telemetry.RecordSpan(traceID, kqml.TraceSpan{
+					Agent: matches[i].Name,
+					Op:    telemetry.OpFailover,
+					Start: time.Now().UnixNano(),
+					Err:   e,
 				})
 			}
 			if em != nil {
@@ -327,17 +326,16 @@ func (a *Agent) fetchOne(ctx context.Context, plan *fetchPlan, ad *ontology.Adve
 	sr, err := a.fetchCall(ctx, plan, ad, traceID)
 	mFanoutInflight.Add(-1)
 	if traceID != "" {
-		span := telemetry.Span{
-			TraceID:        traceID,
+		span := kqml.TraceSpan{
 			Agent:          a.cfg.Name,
 			Op:             telemetry.OpMRQFetch,
-			StartUnixNano:  start.UnixNano(),
+			Start:          start.UnixNano(),
 			DurationMicros: time.Since(start).Microseconds(),
 		}
 		if err != nil {
 			span.Err = err.Error()
 		}
-		telemetry.RecordSpan(span)
+		telemetry.RecordSpan(traceID, span)
 	}
 	return sr, err
 }

@@ -166,7 +166,7 @@ func (a *Agent) handle(msg *kqml.Message) *kqml.Message {
 		res, status, err := a.RunWithStatus(ctx, sq.SQL)
 		if err != nil {
 			reply := a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: err.Error()})
-			reply.Provenance = kqml.AppendProv(nil, col.Events()...)
+			reply.Trace = kqml.AppendSpans(nil, col.Entries()...)
 			return reply
 		}
 		out := &kqml.SQLResult{Columns: res.Columns, Rows: res.Rows}
@@ -175,7 +175,7 @@ func (a *Agent) handle(msg *kqml.Message) *kqml.Message {
 			out.Degraded = status.Degraded
 		}
 		reply := a.Reply(msg, kqml.Tell, out)
-		reply.Provenance = kqml.AppendProv(nil, col.Events()...)
+		reply.Trace = kqml.AppendSpans(nil, col.Entries()...)
 		return reply
 	default:
 		return a.Reply(msg, kqml.Sorry, &kqml.SorryContent{
@@ -227,17 +227,16 @@ func (a *Agent) RunWithStatus(ctx context.Context, sql string) (*sqlparse.Result
 	res, status, err := a.run(ctx, sql)
 	dur := time.Since(start)
 	if traceID != "" {
-		span := telemetry.Span{
-			TraceID:        traceID,
+		span := kqml.TraceSpan{
 			Agent:          a.cfg.Name,
 			Op:             telemetry.OpMRQRun,
-			StartUnixNano:  start.UnixNano(),
+			Start:          start.UnixNano(),
 			DurationMicros: dur.Microseconds(),
 		}
 		if err != nil {
 			span.Err = err.Error()
 		}
-		telemetry.RecordSpan(span)
+		telemetry.RecordSpan(traceID, span)
 	}
 	if observe {
 		telemetry.ObserveRoot(telemetry.RootOutcome{
@@ -349,17 +348,16 @@ func (a *Agent) assembleClass(ctx context.Context, class string, stmt *sqlparse.
 	if traceID := telemetry.TraceIDFrom(ctx); traceID != "" {
 		start := time.Now()
 		table, note, err := a.assembleClassInner(ctx, class, stmt, pushed, traceID)
-		span := telemetry.Span{
-			TraceID:        traceID,
+		span := kqml.TraceSpan{
 			Agent:          a.cfg.Name,
 			Op:             telemetry.OpMRQAssemble,
-			StartUnixNano:  start.UnixNano(),
+			Start:          start.UnixNano(),
 			DurationMicros: time.Since(start).Microseconds(),
 		}
 		if err != nil {
 			span.Err = err.Error()
 		}
-		telemetry.RecordSpan(span)
+		telemetry.RecordSpan(traceID, span)
 		return table, note, err
 	}
 	return a.assembleClassInner(ctx, class, stmt, pushed, "")
@@ -405,17 +403,16 @@ func (a *Agent) assembleLocated(ctx context.Context, class string, stmt *sqlpars
 	}
 	start := time.Now()
 	table, note, err := a.assembleFromMatches(ctx, class, stmt, matches, extra, traceID)
-	span := telemetry.Span{
-		TraceID:        traceID,
+	span := kqml.TraceSpan{
 		Agent:          a.cfg.Name,
 		Op:             telemetry.OpMRQAssemble,
-		StartUnixNano:  start.UnixNano(),
+		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
 	}
 	if err != nil {
 		span.Err = err.Error()
 	}
-	telemetry.RecordSpan(span)
+	telemetry.RecordSpan(traceID, span)
 	return table, note, err
 }
 

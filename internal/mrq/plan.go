@@ -120,17 +120,16 @@ func (a *Agent) buildPlanSpan(ctx context.Context, stmt *sqlparse.Select, classe
 	}
 	start := time.Now()
 	qp, err := a.buildPlan(ctx, stmt, classes, pushed)
-	span := telemetry.Span{
-		TraceID:        traceID,
+	span := kqml.TraceSpan{
 		Agent:          a.cfg.Name,
 		Op:             telemetry.OpMRQPlan,
-		StartUnixNano:  start.UnixNano(),
+		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
 	}
 	if err != nil {
 		span.Err = err.Error()
 	}
-	telemetry.RecordSpan(span)
+	telemetry.RecordSpan(traceID, span)
 	return qp, err
 }
 
@@ -582,18 +581,17 @@ func (a *Agent) fetchPartial(ctx context.Context, class, key, sql string, conds 
 	spanStart := time.Now()
 	pr, err := a.fetchPartialCall(ctx, class, key, sql, conds, plan, ad, traceID)
 	if traceID != "" {
-		span := telemetry.Span{
-			TraceID:        traceID,
+		span := kqml.TraceSpan{
 			Agent:          a.cfg.Name,
 			Op:             telemetry.OpMRQFetch,
-			StartUnixNano:  spanStart.UnixNano(),
+			Start:          spanStart.UnixNano(),
 			DurationMicros: time.Since(spanStart).Microseconds(),
 		}
 		if err != nil {
 			span.Err = err.Error()
 			mFetchErrors.Inc()
 		}
-		telemetry.RecordSpan(span)
+		telemetry.RecordSpan(traceID, span)
 	} else if err != nil {
 		mFetchErrors.Inc()
 	}

@@ -11,7 +11,6 @@ import (
 	"infosleuth/internal/resource"
 	"infosleuth/internal/stats"
 	"infosleuth/internal/telemetry"
-	"infosleuth/internal/telemetry/provenance"
 	"infosleuth/internal/telemetry/recorder"
 	"infosleuth/internal/transport"
 )
@@ -232,9 +231,9 @@ func TestPlanReportsWithoutFetching(t *testing.T) {
 	}
 	r.addTableResource(t, "RA-C2", "C2", c2, "", nil)
 
-	rec := recorder.New(recorder.Options{})
-	prev := provenance.SetRecorder(rec)
-	defer provenance.SetRecorder(prev)
+	rec := recorder.New()
+	prev := telemetry.SetSpanRecorder(rec)
+	defer telemetry.SetSpanRecorder(prev)
 
 	traceID := telemetry.NewTraceID()
 	ctx := telemetry.WithTraceID(context.Background(), traceID)

@@ -340,12 +340,11 @@ func recordRetrySpan(ctx context.Context, peer string, attempt int) {
 	if traceID == "" || !telemetry.SpanRecorderActive() {
 		return
 	}
-	telemetry.RecordSpan(telemetry.Span{
-		TraceID:       traceID,
-		Agent:         peer,
-		Op:            telemetry.OpRetryAttempt,
-		StartUnixNano: time.Now().UnixNano(),
-		Err:           fmt.Sprintf("attempt %d", attempt),
+	telemetry.RecordSpan(traceID, kqml.TraceSpan{
+		Agent: peer,
+		Op:    telemetry.OpRetryAttempt,
+		Start: time.Now().UnixNano(),
+		Err:   fmt.Sprintf("attempt %d", attempt),
 	})
 }
 

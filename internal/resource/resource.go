@@ -214,10 +214,10 @@ func (a *Agent) handleQuery(msg *kqml.Message) *kqml.Message {
 			// resource refused the statement and why (capability beyond
 			// advertisement, unserved class, unsupported language, parse
 			// error). Error path only — accepted queries stay untouched.
-			ev := kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name,
-				Pushdown: &kqml.PushdownDecision{Class: queriedClass(sq.SQL), Fallback: err.Error()}}
-			reply.Provenance = kqml.AppendProv(reply.Provenance, ev)
-			provenance.Record(msg.TraceID, ev)
+			d := provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name,
+				Pushdown: &kqml.PushdownDecision{Class: queriedClass(sq.SQL), Fallback: err.Error()}})
+			kqml.PropagateTrace(msg, reply, d)
+			telemetry.RecordSpan(msg.TraceID, d)
 		}
 	} else {
 		reply = a.Reply(msg, kqml.Tell, &kqml.SQLResult{Columns: res.Columns, Rows: res.Rows})
@@ -233,7 +233,7 @@ func (a *Agent) handleQuery(msg *kqml.Message) *kqml.Message {
 			span.Err = err.Error()
 		}
 		kqml.PropagateTrace(msg, reply, span)
-		transport.RecordTraceSpans(msg.TraceID, span)
+		telemetry.RecordSpan(msg.TraceID, span)
 	}
 	if telemetry.RootObserverActive() {
 		// Feed the tail sampler / SLO tracker on the serving side too: a

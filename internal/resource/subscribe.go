@@ -345,11 +345,10 @@ func (a *Agent) deliverBatch(sub *subscription, b broadcast.Batch) {
 		}
 	}
 	if last.TraceID != "" {
-		span := telemetry.Span{
-			TraceID:        last.TraceID,
+		span := kqml.TraceSpan{
 			Agent:          a.Name(),
 			Op:             telemetry.OpSubscribeEval,
-			StartUnixNano:  start.UnixNano(),
+			Start:          start.UnixNano(),
 			DurationMicros: time.Since(start).Microseconds(),
 		}
 		if err != nil {
@@ -357,7 +356,7 @@ func (a *Agent) deliverBatch(sub *subscription, b broadcast.Batch) {
 		} else if callErr != nil {
 			span.Err = fmt.Sprintf("notify %s: %v", sub.addr, callErr)
 		}
-		telemetry.RecordSpan(span)
+		telemetry.RecordSpan(last.TraceID, span)
 	}
 	entry := notifyEntry{
 		Time:           time.Now().UTC().Format(time.RFC3339Nano),

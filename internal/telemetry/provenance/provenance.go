@@ -2,13 +2,15 @@
 // from the agents that make decisions to the process-local flight
 // recorder and onto KQML reply envelopes.
 //
-// It mirrors the span plumbing in package telemetry: a process-wide
-// recorder installed with SetRecorder receives every event recorded under
-// a trace ID, and a per-request Collector carried on the context gathers
-// the events one handler produced so they can be attached to the reply
-// envelope (kqml.AppendProv) and ride back toward the originator.
+// A decision travels as one more entry of the conversation's trace: a
+// kqml.TraceSpan with Op kqml.OpDecision and the event in its Decision
+// field. It is recorded through the same telemetry.RecordSpan hook as a
+// timing span, and a per-request Collector carried on the context
+// gathers the decisions one handler produced so they can be appended to
+// the reply envelope's trace (kqml.AppendSpans) and ride back toward the
+// originator.
 //
-// Everything is off by default: with no recorder installed and no
+// Everything is off by default: with no span recorder installed and no
 // collector on the context, Emitter construction returns nil and
 // producers skip all event-building work, so untraced conversations and
 // the Section 5 experiment harness pay nothing.
@@ -18,93 +20,60 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"infosleuth/internal/kqml"
+	"infosleuth/internal/telemetry"
 )
 
-// Recorder receives decision events for storage, keyed by trace ID. The
-// flight recorder (telemetry/recorder) implements it.
-type Recorder interface {
-	RecordProv(traceID string, ev kqml.ProvEvent)
-}
+// lastStart is the Start of the latest decision stamped in this process.
+var lastStart atomic.Int64
 
-type recorderBox struct{ r Recorder }
-
-var activeRecorder atomic.Pointer[recorderBox]
-
-// SetRecorder installs the process-wide provenance recorder and returns
-// the previous one (nil uninstalls).
-func SetRecorder(r Recorder) Recorder {
-	var newBox *recorderBox
-	if r != nil {
-		newBox = &recorderBox{r: r}
-	}
-	old := activeRecorder.Swap(newBox)
-	if old == nil {
-		return nil
-	}
-	return old.r
-}
-
-// Active reports whether a process-wide recorder is installed.
-func Active() bool { return activeRecorder.Load() != nil }
-
-// Record delivers one event to the installed recorder, if any. Events
-// without a trace ID are dropped: provenance only exists for traced
-// conversations.
-func Record(traceID string, ev kqml.ProvEvent) {
-	if traceID == "" {
-		return
-	}
-	if box := activeRecorder.Load(); box != nil {
-		box.r.RecordProv(traceID, ev)
+// Decision wraps ev as a trace entry stamped with the moment it was
+// emitted. Stamps are unique within the process (never less than one
+// nanosecond after the previous one), so two equal decisions emitted
+// apart stay two entries, while a decision recorded locally and its copy
+// mirrored from a reply envelope share the recorder's identity key and
+// collapse into one.
+func Decision(ev kqml.ProvEvent) kqml.TraceSpan {
+	now := time.Now().UnixNano()
+	for {
+		last := lastStart.Load()
+		start := max(now, last+1)
+		if lastStart.CompareAndSwap(last, start) {
+			return kqml.TraceSpan{Agent: ev.Agent, Op: kqml.OpDecision, Start: start, Decision: &ev}
+		}
 	}
 }
 
-// RecordEnvelope mirrors events carried on a reply envelope into the
-// installed recorder (the transport layer calls it on every traced
-// reply; the recorder deduplicates double delivery).
-func RecordEnvelope(traceID string, events ...kqml.ProvEvent) {
-	if traceID == "" || len(events) == 0 {
-		return
-	}
-	box := activeRecorder.Load()
-	if box == nil {
-		return
-	}
-	for _, ev := range events {
-		box.r.RecordProv(traceID, ev)
-	}
-}
-
-// Collector gathers the events one request handler produced so the
-// handler can attach them to its reply envelope. It is safe for
+// Collector gathers the trace entries one request handler produced so
+// the handler can attach them to its reply envelope. It is safe for
 // concurrent use (MRQ fan-out workers record from goroutines).
 type Collector struct {
-	mu     sync.Mutex
-	events []kqml.ProvEvent
+	mu      sync.Mutex
+	entries []kqml.TraceSpan
 }
 
-// Add appends events to the collector, enforcing the envelope cap so a
+// Add appends entries to the collector, enforcing the envelope caps so a
 // runaway producer cannot bloat the eventual reply.
-func (c *Collector) Add(events ...kqml.ProvEvent) {
-	if c == nil || len(events) == 0 {
+func (c *Collector) Add(entries ...kqml.TraceSpan) {
+	if c == nil || len(entries) == 0 {
 		return
 	}
 	c.mu.Lock()
-	c.events = kqml.AppendProv(c.events, events...)
+	c.entries = kqml.AppendSpans(c.entries, entries...)
 	c.mu.Unlock()
 }
 
-// Events returns the collected events (the internal slice; callers
+// Entries returns the collected entries (the internal slice; callers
 // attach it to exactly one reply).
-func (c *Collector) Events() []kqml.ProvEvent {
+func (c *Collector) Entries() []kqml.TraceSpan {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.events
+	return c.entries
 }
 
 type collectorKey struct{}
@@ -124,8 +93,8 @@ func CollectorFrom(ctx context.Context) *Collector {
 }
 
 // Emitter is a producer's handle for one traced request: it fans each
-// event out to the process recorder and the request's collector. A nil
-// Emitter is inert, so call sites read:
+// decision out to the process recorder and the request's collector. A
+// nil Emitter is inert, so call sites read:
 //
 //	if em := provenance.For(ctx, traceID); em != nil {
 //	    em.Emit(kqml.ProvEvent{...})
@@ -135,42 +104,47 @@ func CollectorFrom(ctx context.Context) *Collector {
 type Emitter struct {
 	traceID   string
 	collector *Collector
-	global    bool
 }
 
 // For returns an Emitter when the conversation is traced and someone is
-// listening (a process recorder, a context collector, or both); nil
+// listening (a span recorder, a context collector, or both); nil
 // otherwise.
 func For(ctx context.Context, traceID string) *Emitter {
 	if traceID == "" {
 		return nil
 	}
 	c := CollectorFrom(ctx)
-	g := Active()
-	if c == nil && !g {
+	if c == nil && !telemetry.SpanRecorderActive() {
 		return nil
 	}
-	return &Emitter{traceID: traceID, collector: c, global: g}
+	return &Emitter{traceID: traceID, collector: c}
 }
 
-// Emit delivers one event to the recorder and/or collector.
+// Emit delivers one decision to the recorder and/or collector.
 func (e *Emitter) Emit(ev kqml.ProvEvent) {
 	if e == nil {
 		return
 	}
-	if e.global {
-		Record(e.traceID, ev)
-	}
-	e.collector.Add(ev)
+	d := Decision(ev)
+	telemetry.RecordSpan(e.traceID, d)
+	e.collector.Add(d)
 }
 
-// CollectReply folds the provenance a reply envelope carried into the
-// context's collector, so a relaying agent (broker forwarding, MRQ
-// fan-out) propagates its callees' decisions on its own reply. The
-// process recorder already saw these events via the transport bridge.
+// CollectReply folds the decisions a reply envelope carried, and its drop
+// marker, into the context's collector, so a relaying agent (MRQ fan-out,
+// a user-facing agent) propagates its callees' decisions on its own
+// reply. Timing spans stay behind: the process recorder already saw every
+// entry via the transport.
 func CollectReply(ctx context.Context, reply *kqml.Message) {
-	if reply == nil || len(reply.Provenance) == 0 {
+	c := CollectorFrom(ctx)
+	if c == nil || reply == nil {
 		return
 	}
-	CollectorFrom(ctx).Add(reply.Provenance...)
+	var carried []kqml.TraceSpan
+	for _, s := range reply.Trace {
+		if s.Decision != nil || s.Op == kqml.OpTraceDropped {
+			carried = append(carried, s)
+		}
+	}
+	c.Add(carried...)
 }

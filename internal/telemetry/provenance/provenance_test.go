@@ -6,38 +6,40 @@ import (
 	"testing"
 
 	"infosleuth/internal/kqml"
+	"infosleuth/internal/telemetry"
+	"infosleuth/internal/telemetry/recorder"
 )
 
 type capture struct {
-	mu     sync.Mutex
-	events map[string][]kqml.ProvEvent
+	mu      sync.Mutex
+	entries map[string][]kqml.TraceSpan
 }
 
-func (c *capture) RecordProv(traceID string, ev kqml.ProvEvent) {
+func (c *capture) RecordSpan(traceID string, s kqml.TraceSpan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.events == nil {
-		c.events = make(map[string][]kqml.ProvEvent)
+	if c.entries == nil {
+		c.entries = make(map[string][]kqml.TraceSpan)
 	}
-	c.events[traceID] = append(c.events[traceID], ev)
+	c.entries[traceID] = append(c.entries[traceID], s)
 }
 
 func TestForGating(t *testing.T) {
-	prev := SetRecorder(nil)
-	defer SetRecorder(prev)
+	prev := telemetry.SetSpanRecorder(nil)
+	defer telemetry.SetSpanRecorder(prev)
 
 	if em := For(context.Background(), "t1"); em != nil {
 		t.Fatalf("no recorder, no collector: For should be nil")
 	}
 	cap := &capture{}
-	SetRecorder(cap)
+	telemetry.SetSpanRecorder(cap)
 	if em := For(context.Background(), ""); em != nil {
 		t.Fatalf("untraced: For should be nil even with a recorder")
 	}
 	if em := For(context.Background(), "t1"); em == nil {
 		t.Fatalf("recorder installed: For should be non-nil")
 	}
-	SetRecorder(nil)
+	telemetry.SetSpanRecorder(nil)
 	ctx, _ := WithCollector(context.Background())
 	if em := For(ctx, "t1"); em == nil {
 		t.Fatalf("collector on ctx: For should be non-nil without a recorder")
@@ -46,33 +48,43 @@ func TestForGating(t *testing.T) {
 
 func TestEmitFansOut(t *testing.T) {
 	cap := &capture{}
-	prev := SetRecorder(cap)
-	defer SetRecorder(prev)
+	prev := telemetry.SetSpanRecorder(cap)
+	defer telemetry.SetSpanRecorder(prev)
 
 	ctx, col := WithCollector(context.Background())
 	em := For(ctx, "t9")
 	em.Emit(kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1",
 		Forward: &kqml.ForwardDecision{Peer: "B2"}})
 
-	if got := len(cap.events["t9"]); got != 1 {
-		t.Fatalf("recorder got %d events, want 1", got)
+	if got := len(cap.entries["t9"]); got != 1 {
+		t.Fatalf("recorder got %d entries, want 1", got)
 	}
-	if got := len(col.Events()); got != 1 {
-		t.Fatalf("collector got %d events, want 1", got)
+	if got := len(col.Entries()); got != 1 {
+		t.Fatalf("collector got %d entries, want 1", got)
+	}
+	d := col.Entries()[0]
+	if d.Op != kqml.OpDecision || d.Agent != "B1" || d.Start == 0 || d.Decision == nil || d.Decision.Forward.Peer != "B2" {
+		t.Fatalf("decision entry = %+v", d)
+	}
+	if cap.entries["t9"][0] != d {
+		t.Fatalf("recorder and collector got different entries: %+v vs %+v", cap.entries["t9"][0], d)
 	}
 }
 
 func TestCollectReply(t *testing.T) {
-	prev := SetRecorder(nil)
-	defer SetRecorder(prev)
+	prev := telemetry.SetSpanRecorder(nil)
+	defer telemetry.SetSpanRecorder(prev)
 
 	ctx, col := WithCollector(context.Background())
-	reply := &kqml.Message{Provenance: []kqml.ProvEvent{
-		{Kind: kqml.ProvMatch, Agent: "B2", Match: &kqml.MatchDecision{Ad: "R1", Accepted: true}},
+	reply := &kqml.Message{Trace: []kqml.TraceSpan{
+		{Op: kqml.OpTraceDropped, Dropped: 4},
+		Decision(kqml.ProvEvent{Kind: kqml.ProvMatch, Agent: "B2", Match: &kqml.MatchDecision{Ad: "R1", Accepted: true}}),
+		{Agent: "B2", Op: kqml.OpBrokerSearch, Start: 1, DurationMicros: 5},
 	}}
 	CollectReply(ctx, reply)
-	if got := len(col.Events()); got != 1 {
-		t.Fatalf("collector got %d events, want 1", got)
+	got := col.Entries()
+	if len(got) != 2 || got[0].Op != kqml.OpTraceDropped || got[0].Dropped != 4 || got[1].Decision == nil {
+		t.Fatalf("collector holds %+v, want the marker and the decision, not the timing span", got)
 	}
 	// No collector: must not panic.
 	CollectReply(context.Background(), reply)
@@ -80,14 +92,53 @@ func TestCollectReply(t *testing.T) {
 
 func TestCollectorCaps(t *testing.T) {
 	col := &Collector{}
-	for i := 0; i < kqml.MaxProvEvents+20; i++ {
-		col.Add(kqml.ProvEvent{Kind: kqml.ProvFetch, Fetch: &kqml.FetchReport{Resource: "R"}})
+	for i := 0; i < kqml.MaxTraceSpans+20; i++ {
+		col.Add(Decision(kqml.ProvEvent{Kind: kqml.ProvFetch, Fetch: &kqml.FetchReport{Resource: "R"}}))
 	}
-	evs := col.Events()
-	if len(evs) != kqml.MaxProvEvents {
-		t.Fatalf("collector holds %d events, want cap %d", len(evs), kqml.MaxProvEvents)
+	entries := col.Entries()
+	if len(entries) != kqml.MaxTraceSpans {
+		t.Fatalf("collector holds %d entries, want cap %d", len(entries), kqml.MaxTraceSpans)
 	}
-	if evs[0].Kind != kqml.ProvDropped {
+	if entries[0].Op != kqml.OpTraceDropped {
 		t.Fatalf("capped collector should lead with a dropped marker")
+	}
+}
+
+func TestDecisionStartsAreUnique(t *testing.T) {
+	seen := make(map[int64]bool)
+	ev := kqml.ProvEvent{Kind: kqml.ProvMatch, Agent: "B1", Match: &kqml.MatchDecision{Ad: "R1"}}
+	for i := 0; i < 10000; i++ {
+		d := Decision(ev)
+		if seen[d.Start] {
+			t.Fatalf("decision %d reused start %d", i, d.Start)
+		}
+		seen[d.Start] = true
+	}
+}
+
+// TestEqualDecisionsBothRecorded: two searches in one trace that emit the
+// same match decision are two decisions, while each one's envelope mirror
+// collapses into its local record.
+func TestEqualDecisionsBothRecorded(t *testing.T) {
+	rec := recorder.New()
+	prev := telemetry.SetSpanRecorder(rec)
+	defer telemetry.SetSpanRecorder(prev)
+
+	ctx, col := WithCollector(context.Background())
+	em := For(ctx, "t1")
+	for i := 0; i < 2; i++ {
+		em.Emit(kqml.ProvEvent{Kind: kqml.ProvMatch, Agent: "B1",
+			Match: &kqml.MatchDecision{Ad: "R1", Engine: "direct", Accepted: true, Specificity: 2}})
+	}
+	// The reply envelope carries both back; the transport mirrors them.
+	for _, s := range col.Entries() {
+		telemetry.RecordSpan("t1", s)
+	}
+	ex, ok := rec.Explain("t1")
+	if !ok {
+		t.Fatal("trace not recorded")
+	}
+	if len(ex.Matches) != 2 {
+		t.Fatalf("explain holds %d matches, want 2 (two emissions, each mirrored once)", len(ex.Matches))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
 )
 
@@ -12,14 +13,11 @@ import (
 //
 //	go test -bench=RecordSpan -benchmem ./internal/telemetry/recorder
 func BenchmarkRecordSpan(b *testing.B) {
-	r := New(Options{})
+	r := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.RecordSpan(telemetry.Span{
-			TraceID: "bench", Agent: "a", Op: "rpc.call",
-			StartUnixNano: int64(i + 1), DurationMicros: 1,
-		})
+		r.RecordSpan("bench", kqml.TraceSpan{Agent: "a", Op: "rpc.call", Start: int64(i + 1), DurationMicros: 1})
 	}
 }
 
@@ -29,16 +27,15 @@ func BenchmarkRecordSpan(b *testing.B) {
 // indirection into the recorder. This is the always-on configuration every
 // daemon runs; the acceptance bound is < 1 µs per call.
 func BenchmarkInstrumentedCallWithRecorder(b *testing.B) {
-	rec := New(Options{})
+	rec := New()
 	prev := telemetry.SetSpanRecorder(rec)
 	defer telemetry.SetSpanRecorder(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		telemetry.RecordSpan(telemetry.Span{
-			TraceID: "bench", Agent: "a", Op: "rpc.call",
-			StartUnixNano: start.UnixNano(), DurationMicros: time.Since(start).Microseconds(),
+		telemetry.RecordSpan("bench", kqml.TraceSpan{
+			Agent: "a", Op: "rpc.call", Start: start.UnixNano(), DurationMicros: time.Since(start).Microseconds(),
 		})
 	}
 }
@@ -63,7 +60,7 @@ func BenchmarkTailSampleDecision(b *testing.B) {
 // tailSampleOp installs a recorder as the root observer and returns one
 // untraced sampling decision.
 func tailSampleOp(tb testing.TB) func() {
-	rec := New(Options{})
+	rec := New()
 	prev := telemetry.SetRootObserver(rec)
 	tb.Cleanup(func() { telemetry.SetRootObserver(prev) })
 	// First observation allocates the op's sampler; keep it out of the
@@ -83,7 +80,7 @@ func TestTailSampleDecisionOverhead(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test (skipped under -short and -race)")
 	}
-	rec := New(Options{})
+	rec := New()
 	prev := telemetry.SetRootObserver(rec)
 	defer func() { telemetry.SetRootObserver(prev) }()
 	const n = 200000
@@ -104,16 +101,13 @@ func TestRecorderOverhead(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test (skipped under -short and -race)")
 	}
-	rec := New(Options{})
+	rec := New()
 	prev := telemetry.SetSpanRecorder(rec)
 	defer telemetry.SetSpanRecorder(prev)
 	const n = 200000
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		telemetry.RecordSpan(telemetry.Span{
-			TraceID: "bench", Agent: "a", Op: "rpc.call",
-			StartUnixNano: int64(i + 1), DurationMicros: 1,
-		})
+		telemetry.RecordSpan("bench", kqml.TraceSpan{Agent: "a", Op: "rpc.call", Start: int64(i + 1), DurationMicros: 1})
 	}
 	per := time.Since(start) / n
 	if per > time.Microsecond {

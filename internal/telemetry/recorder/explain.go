@@ -27,10 +27,10 @@ type Explain struct {
 func (r *Recorder) Explain(id string) (*Explain, bool) {
 	r.mu.Lock()
 	t, ok := r.traces[id]
-	var prov []kqml.ProvEvent
+	var decisions []kqml.ProvEvent
 	var sum Summary
 	if ok {
-		prov = append([]kqml.ProvEvent(nil), t.prov...)
+		decisions = append([]kqml.ProvEvent(nil), t.decisions...)
 		sum = t.summary()
 	}
 	r.mu.Unlock()
@@ -39,7 +39,7 @@ func (r *Recorder) Explain(id string) (*Explain, bool) {
 	}
 	tree, _ := r.Trace(id)
 	ex := &Explain{Summary: sum, Tree: tree}
-	for _, ev := range prov {
+	for _, ev := range decisions {
 		switch ev.Kind {
 		case kqml.ProvMatch:
 			ex.Matches = append(ex.Matches, ev)
@@ -70,8 +70,8 @@ func (e *Explain) Format() string {
 	if s.Errors > 0 {
 		fmt.Fprintf(&b, ", %d errors", s.Errors)
 	}
-	if s.ProvDropped > 0 {
-		fmt.Fprintf(&b, ", %d decisions dropped", s.ProvDropped)
+	if s.Dropped > 0 {
+		fmt.Fprintf(&b, ", %d dropped", s.Dropped)
 	}
 	b.WriteByte('\n')
 

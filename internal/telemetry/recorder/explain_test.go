@@ -9,6 +9,7 @@ import (
 
 	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
+	"infosleuth/internal/telemetry/provenance"
 )
 
 func matchEvent(agent, ad string, accepted bool) kqml.ProvEvent {
@@ -21,10 +22,10 @@ func matchEvent(agent, ad string, accepted bool) kqml.ProvEvent {
 }
 
 func TestRecordProvDeduplicatesEnvelopeMirrors(t *testing.T) {
-	r := New(Options{})
-	ev := matchEvent("B1", "R1", true)
-	r.RecordProv("t1", ev)
-	r.RecordProv("t1", ev) // envelope mirror of the same decision
+	r := New()
+	d := provenance.Decision(matchEvent("B1", "R1", true))
+	r.RecordSpan("t1", d)
+	r.RecordSpan("t1", d) // envelope mirror of the same decision
 	sums := r.Summaries(0)
 	if len(sums) != 1 || sums[0].Prov != 1 {
 		t.Fatalf("Summaries = %+v, want one trace with one event after dedup", sums)
@@ -32,24 +33,25 @@ func TestRecordProvDeduplicatesEnvelopeMirrors(t *testing.T) {
 }
 
 func TestRecordProvBoundAndDroppedMarkers(t *testing.T) {
-	r := New(Options{MaxProvPerTrace: 3})
+	r := New()
+	r.maxDecisionsPerTrace = 3
 	for i := 0; i < 5; i++ {
-		r.RecordProv("t1", matchEvent("B1", fmt.Sprintf("R%d", i), true))
+		r.RecordSpan("t1", provenance.Decision(matchEvent("B1", fmt.Sprintf("R%d", i), true)))
 	}
 	// An envelope-cap marker is accounted, not stored.
-	r.RecordProv("t1", kqml.ProvEvent{Kind: kqml.ProvDropped, Dropped: 7})
+	r.RecordSpan("t1", kqml.TraceSpan{Op: kqml.OpTraceDropped, Dropped: 7})
 	sums := r.Summaries(0)
 	if len(sums) != 1 {
 		t.Fatalf("got %d summaries, want 1", len(sums))
 	}
-	if sums[0].Prov != 3 || sums[0].ProvDropped != 2+7 {
+	if sums[0].Prov != 3 || sums[0].Dropped != 2+7 {
 		t.Fatalf("summary %+v, want 3 stored and 9 dropped (2 over bound + 7 from marker)", sums[0])
 	}
 }
 
 func TestRecordProvIgnoresUntraced(t *testing.T) {
-	r := New(Options{})
-	r.RecordProv("", matchEvent("B1", "R1", true))
+	r := New()
+	r.RecordSpan("", provenance.Decision(matchEvent("B1", "R1", true)))
 	if len(r.Summaries(0)) != 0 {
 		t.Fatal("event without a trace ID must be ignored")
 	}
@@ -59,20 +61,20 @@ func TestRecordProvIgnoresUntraced(t *testing.T) {
 // each kind lands in its own group, and the rendered text carries every
 // section with the decision details.
 func TestExplainGroupsByKind(t *testing.T) {
-	r := New(Options{})
-	r.RecordProv("t1", matchEvent("B1", "R1", true))
-	r.RecordProv("t1", matchEvent("B1", "R9", false))
-	r.RecordProv("t1", kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1",
-		Forward: &kqml.ForwardDecision{Peer: "B2", Matches: 1}})
-	r.RecordProv("t1", kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1",
-		Forward: &kqml.ForwardDecision{Peer: "B3", Skipped: "breaker open"}})
-	r.RecordProv("t1", kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: "MRQ",
-		Pushdown: &kqml.PushdownDecision{Class: "C1", Pushed: []string{"a >= 100"}, Columns: []string{"id", "a"}}})
-	r.RecordProv("t1", kqml.ProvEvent{Kind: kqml.ProvFetch, Agent: "MRQ",
-		Fetch: &kqml.FetchReport{Resource: "R1", Class: "C1", Pushed: true, Bytes: 412, LatencyMicros: 1032}})
-	r.RecordProv("t1", kqml.ProvEvent{Kind: kqml.ProvFailover, Agent: "MRQ",
-		Failover: &kqml.FailoverDecision{Class: "C1", Lost: "R3", CoveredBy: "R1", Note: "unreachable"}})
-	r.RecordSpan(span("t1", "user", telemetry.OpUserSubmit, 0, 1_000_000, 900))
+	r := New()
+	r.RecordSpan("t1", provenance.Decision(matchEvent("B1", "R1", true)))
+	r.RecordSpan("t1", provenance.Decision(matchEvent("B1", "R9", false)))
+	r.RecordSpan("t1", provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1",
+		Forward: &kqml.ForwardDecision{Peer: "B2", Matches: 1}}))
+	r.RecordSpan("t1", provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1",
+		Forward: &kqml.ForwardDecision{Peer: "B3", Skipped: "breaker open"}}))
+	r.RecordSpan("t1", provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: "MRQ",
+		Pushdown: &kqml.PushdownDecision{Class: "C1", Pushed: []string{"a >= 100"}, Columns: []string{"id", "a"}}}))
+	r.RecordSpan("t1", provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvFetch, Agent: "MRQ",
+		Fetch: &kqml.FetchReport{Resource: "R1", Class: "C1", Pushed: true, Bytes: 412, LatencyMicros: 1032}}))
+	r.RecordSpan("t1", provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvFailover, Agent: "MRQ",
+		Failover: &kqml.FailoverDecision{Class: "C1", Lost: "R3", CoveredBy: "R1", Note: "unreachable"}}))
+	r.record(span("t1", "user", telemetry.OpUserSubmit, 0, 1_000_000, 900))
 
 	ex, ok := r.Explain("t1")
 	if !ok {
@@ -106,16 +108,16 @@ func TestExplainGroupsByKind(t *testing.T) {
 }
 
 func TestExplainUnknownTrace(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	if _, ok := r.Explain("nope"); ok {
 		t.Fatal("Explain of an unknown trace must report !ok")
 	}
 }
 
 func TestHTTPExplainRoute(t *testing.T) {
-	r := New(Options{})
-	r.RecordProv("t1", matchEvent("B1", "R1", true))
-	r.RecordSpan(span("t1", "user", telemetry.OpUserSubmit, 0, 1_000_000, 900))
+	r := New()
+	r.RecordSpan("t1", provenance.Decision(matchEvent("B1", "R1", true)))
+	r.record(span("t1", "user", telemetry.OpUserSubmit, 0, 1_000_000, 900))
 	h := r.Handler()
 
 	req := httptest.NewRequest("GET", "/traces/t1/explain", nil)
@@ -148,21 +150,21 @@ func TestHTTPExplainRoute(t *testing.T) {
 // second fetch succeeds. The error spans must still nest under the fetch
 // that issued them, and nothing leaks to the roots.
 func TestDegradedTraceAssembly(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	const us = int64(1000) // ns per µs
 	// Delivered deliberately out of order, as concurrent fan-out does.
-	r.RecordSpan(span("t1", "MRQ", telemetry.OpMRQFetch, 0, 210*us, 30))
+	r.record(span("t1", "MRQ", telemetry.OpMRQFetch, 0, 210*us, 30))
 	errRPC := span("t1", "MRQ", telemetry.OpRPCCall, 0, 215*us, 5)
 	errRPC.Err = "transport: peer unreachable"
-	r.RecordSpan(errRPC)
-	r.RecordSpan(span("t1", "user", telemetry.OpUserSubmit, 0, 100*us, 500))
+	r.record(errRPC)
+	r.record(span("t1", "user", telemetry.OpUserSubmit, 0, 100*us, 500))
 	fail := span("t1", "R1", telemetry.OpFailover, 0, 250*us, 1)
 	fail.Err = "transport: peer unreachable"
-	r.RecordSpan(fail)
-	r.RecordSpan(span("t1", "MRQ", telemetry.OpMRQAssemble, 0, 200*us, 300))
-	r.RecordSpan(span("t1", "MRQ", telemetry.OpMRQFetch, 0, 260*us, 100))
-	r.RecordSpan(span("t1", "R2", telemetry.OpResourceQuery, 0, 280*us, 50))
-	r.RecordSpan(span("t1", "MRQ", telemetry.OpMRQRun, 0, 150*us, 400))
+	r.record(fail)
+	r.record(span("t1", "MRQ", telemetry.OpMRQAssemble, 0, 200*us, 300))
+	r.record(span("t1", "MRQ", telemetry.OpMRQFetch, 0, 260*us, 100))
+	r.record(span("t1", "R2", kqml.OpResourceQuery, 0, 280*us, 50))
+	r.record(span("t1", "MRQ", telemetry.OpMRQRun, 0, 150*us, 400))
 
 	tree, ok := r.Trace("t1")
 	if !ok {
@@ -205,7 +207,7 @@ func TestDegradedTraceAssembly(t *testing.T) {
 		t.Errorf("failover span misplaced:\n%s", tree.Format())
 	}
 	okFetch := assemble.Children[2]
-	if okFetch.Op != telemetry.OpMRQFetch || find(okFetch, telemetry.OpResourceQuery) == nil {
+	if okFetch.Op != telemetry.OpMRQFetch || find(okFetch, kqml.OpResourceQuery) == nil {
 		t.Errorf("successful fetch lost its resource.query child:\n%s", tree.Format())
 	}
 }

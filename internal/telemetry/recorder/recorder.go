@@ -1,27 +1,28 @@
 // Package recorder is the in-process flight recorder behind the
 // conversation tracing of PR 1: a bounded ring buffer of completed spans
 // plus a trace store that assembles spans sharing a trace ID into trace
-// trees (entry hop → forwarded hops, per-hop durations, error status).
+// trees (entry hop → forwarded hops, per-hop durations, error status),
+// and keeps the trace's decisions beside the tree for explain reports.
 //
 // The recorder implements telemetry.SpanRecorder; installing one with
 // telemetry.SetSpanRecorder makes every instrumented hop in the process —
 // agent dispatch, client RPCs, broker searches at every forwarding depth,
-// MRQ fan-out, resource query execution — record into it, and spans
-// carried back on reply envelopes are mirrored in by the transport layer,
-// so one traced user query yields one assembled tree spanning user agent,
-// brokers and resources. Daemons expose it at /traces (summaries) and
-// /traces/{id} (the full tree) on the metrics endpoint; `isquery
-// -trace-dump` and `experiments -run traces` render the same tree as
-// text.
+// MRQ fan-out, resource query execution, and every decision made on the
+// way — record into it, and entries carried back on reply envelopes are
+// mirrored in by the transport layer, so one traced user query yields one
+// assembled tree spanning user agent, brokers and resources. Daemons
+// expose it at /traces (summaries) and /traces/{id} (the full tree) on
+// the metrics endpoint; `isquery -trace-dump` and `experiments -run
+// traces` render the same tree as text.
 //
 // Everything is bounded: the span ring holds SpanCapacity spans (oldest
 // overwritten, drops counted), traces are evicted by count and age, and a
-// single trace keeps at most MaxSpansPerTrace spans — a recorder can run
-// in a loaded broker indefinitely without growing.
+// single trace keeps at most MaxSpansPerTrace spans and MaxDecisionsPerTrace
+// decisions — a recorder can run in a loaded broker indefinitely without
+// growing.
 package recorder
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,68 +32,34 @@ import (
 	"infosleuth/internal/telemetry"
 )
 
-// Defaults for Options zero values.
+// The recorder's bounds.
 const (
-	DefaultSpanCapacity     = 4096
-	DefaultMaxTraces        = 256
-	DefaultMaxSpansPerTrace = 512
-	DefaultMaxProvPerTrace  = 256
-	DefaultMaxTraceAge      = 10 * time.Minute
-	DefaultSlowlogCapacity  = 128
-)
-
-// Options bounds a Recorder.
-type Options struct {
 	// SpanCapacity is the span ring size; when full the oldest span is
-	// overwritten and the drop counter incremented. Zero means
-	// DefaultSpanCapacity.
-	SpanCapacity int
+	// overwritten and the drop counter incremented.
+	SpanCapacity = 4096
 	// MaxTraces bounds how many distinct traces are kept assembled; the
-	// least recently updated whole trace is evicted first. Zero means
-	// DefaultMaxTraces.
-	MaxTraces int
+	// least recently updated whole trace is evicted first.
+	MaxTraces = 256
 	// MaxSpansPerTrace bounds one trace's stored spans (a runaway fan-out
 	// cannot monopolize the store); further spans are counted as dropped
-	// on that trace. Zero means DefaultMaxSpansPerTrace.
-	MaxSpansPerTrace int
-	// MaxProvPerTrace bounds one trace's stored provenance events the
-	// same way. Zero means DefaultMaxProvPerTrace.
-	MaxProvPerTrace int
-	// MaxTraceAge evicts traces not updated for this long. Zero means
-	// DefaultMaxTraceAge.
-	MaxTraceAge time.Duration
+	// on that trace.
+	MaxSpansPerTrace = 512
+	// MaxDecisionsPerTrace bounds one trace's stored decisions the same
+	// way.
+	MaxDecisionsPerTrace = 256
+	// MaxTraceAge evicts traces not updated for this long.
+	MaxTraceAge = 10 * time.Minute
 	// SlowlogCapacity bounds the tail-sampled slow-query log ring (see
-	// slowlog.go); oldest pinned entries are overwritten. Zero means
-	// DefaultSlowlogCapacity.
-	SlowlogCapacity int
-}
+	// slowlog.go); oldest pinned entries are overwritten.
+	SlowlogCapacity = 128
+)
 
-func (o Options) withDefaults() Options {
-	if o.SpanCapacity <= 0 {
-		o.SpanCapacity = DefaultSpanCapacity
-	}
-	if o.MaxTraces <= 0 {
-		o.MaxTraces = DefaultMaxTraces
-	}
-	if o.MaxSpansPerTrace <= 0 {
-		o.MaxSpansPerTrace = DefaultMaxSpansPerTrace
-	}
-	if o.MaxProvPerTrace <= 0 {
-		o.MaxProvPerTrace = DefaultMaxProvPerTrace
-	}
-	if o.MaxTraceAge <= 0 {
-		o.MaxTraceAge = DefaultMaxTraceAge
-	}
-	if o.SlowlogCapacity <= 0 {
-		o.SlowlogCapacity = DefaultSlowlogCapacity
-	}
-	return o
-}
-
-// spanKey identifies a span within a trace for deduplication: on an
-// in-process transport the same span reaches the recorder twice — once
-// recorded locally by the agent that produced it and once mirrored from
-// the reply envelope it rode back on.
+// spanKey identifies an entry within a trace for deduplication: on an
+// in-process transport the same span or decision reaches the recorder
+// twice — once recorded locally by the agent that produced it and once
+// mirrored from the reply envelope it rode back on. A decision's start is
+// unique within the process that emitted it, so the key tells two equal
+// decisions apart.
 type spanKey struct {
 	agent string
 	op    string
@@ -101,37 +68,28 @@ type spanKey struct {
 	dur   int64
 }
 
-func keyOf(s telemetry.Span) spanKey {
-	return spanKey{agent: s.Agent, op: s.Op, hop: s.Hop, start: s.StartUnixNano, dur: s.DurationMicros}
+func keyOf(s *kqml.TraceSpan) spanKey {
+	return spanKey{agent: s.Agent, op: s.Op, hop: s.Hop, start: s.Start, dur: s.DurationMicros}
 }
 
 // trace is one trace ID's accumulated state.
 type trace struct {
 	id         string
-	spans      []telemetry.Span
+	spans      []kqml.TraceSpan
+	decisions  []kqml.ProvEvent
 	seen       map[spanKey]struct{}
 	dropped    int64 // envelope-marker drops + per-trace overflow
 	errors     int
 	lastUpdate time.Time
-
-	// Decision provenance for the trace: events recorded locally and
-	// mirrored from reply envelopes, deduplicated by content (provSeen
-	// keys are the events' JSON encodings — unlike spans there is no
-	// natural identity tuple).
-	prov        []kqml.ProvEvent
-	provSeen    map[string]struct{}
-	provDropped int64
 }
 
 // Recorder is a bounded flight recorder; create one with New. It is safe
 // for concurrent use and never blocks on record.
 type Recorder struct {
-	opts Options
-
 	drops atomic.Int64 // ring overwrites
 
 	mu     sync.Mutex
-	ring   []telemetry.Span
+	ring   []kqml.TraceSpan
 	head   int // next write index
 	filled bool
 	traces map[string]*trace
@@ -146,62 +104,80 @@ type Recorder struct {
 	slowHead   int
 	slowFilled bool
 
-	// now is swappable for eviction tests.
-	now func() time.Time
+	// The per-trace bounds and the clock; tests shrink or swap them.
+	maxTraces            int
+	maxTraceAge          time.Duration
+	maxSpansPerTrace     int
+	maxDecisionsPerTrace int
+	now                  func() time.Time
 }
 
-// New returns a Recorder with the given bounds.
-func New(opts Options) *Recorder {
-	o := opts.withDefaults()
+// New returns a Recorder with the package's bounds.
+func New() *Recorder {
 	return &Recorder{
-		opts:    o,
-		ring:    make([]telemetry.Span, o.SpanCapacity),
-		traces:  make(map[string]*trace),
-		sampler: telemetry.NewTailSampler(),
-		slow:    make([]SlowEntry, o.SlowlogCapacity),
-		now:     time.Now,
+		ring:                 make([]kqml.TraceSpan, SpanCapacity),
+		traces:               make(map[string]*trace),
+		sampler:              telemetry.NewTailSampler(),
+		slow:                 make([]SlowEntry, SlowlogCapacity),
+		maxTraces:            MaxTraces,
+		maxTraceAge:          MaxTraceAge,
+		maxSpansPerTrace:     MaxSpansPerTrace,
+		maxDecisionsPerTrace: MaxDecisionsPerTrace,
+		now:                  time.Now,
 	}
 }
 
-// RecordSpan implements telemetry.SpanRecorder: the span enters the ring
-// (evicting the oldest when full) and its trace's store.
-func (r *Recorder) RecordSpan(s telemetry.Span) {
-	if s.TraceID == "" {
+// RecordSpan implements telemetry.SpanRecorder. A timing span enters the
+// ring (evicting the oldest when full) and its trace's span tree; a
+// decision joins its trace's decisions, kept apart from the tree; a drop
+// marker is accounted, not stored.
+func (r *Recorder) RecordSpan(traceID string, s kqml.TraceSpan) {
+	if traceID == "" {
 		return
 	}
 	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	// Ring: fixed capacity, oldest overwritten, drops counted.
-	if r.filled {
-		r.drops.Add(1)
-	}
-	r.ring[r.head] = s
-	r.head++
-	if r.head == len(r.ring) {
-		r.head = 0
-		r.filled = true
+	if s.Decision == nil {
+		// Ring: fixed capacity, oldest overwritten, drops counted.
+		if r.filled {
+			r.drops.Add(1)
+		}
+		r.ring[r.head] = s
+		r.head++
+		if r.head == len(r.ring) {
+			r.head = 0
+			r.filled = true
+		}
 	}
 
 	// Trace store.
-	t, ok := r.traces[s.TraceID]
+	t, ok := r.traces[traceID]
 	if !ok {
 		r.evictLocked(now)
-		t = &trace{id: s.TraceID, seen: make(map[spanKey]struct{})}
-		r.traces[s.TraceID] = t
+		t = &trace{id: traceID, seen: make(map[spanKey]struct{})}
+		r.traces[traceID] = t
 	}
 	t.lastUpdate = now
-	if s.Op == telemetry.OpTraceDropped {
-		// A capped envelope's marker: account, don't store.
+	if s.Op == kqml.OpTraceDropped {
 		t.dropped += int64(s.Dropped)
 		return
 	}
-	k := keyOf(s)
+	k := keyOf(&s)
 	if _, dup := t.seen[k]; dup {
 		return
 	}
-	if len(t.spans) >= r.opts.MaxSpansPerTrace {
+	if s.Decision != nil {
+		if len(t.decisions) >= r.maxDecisionsPerTrace {
+			t.dropped++
+			return
+		}
+		t.seen[k] = struct{}{}
+		t.decisions = append(t.decisions, *s.Decision)
+		return
+	}
+	if len(t.spans) >= r.maxSpansPerTrace {
 		t.dropped++
 		return
 	}
@@ -212,58 +188,16 @@ func (r *Recorder) RecordSpan(s telemetry.Span) {
 	}
 }
 
-// RecordProv implements provenance.Recorder: the decision event joins its
-// trace's provenance store. Like spans, the same event can arrive twice —
-// recorded locally by the deciding agent and mirrored from the reply
-// envelope it rode back on — so events are deduplicated by content (their
-// JSON encoding; a decision has no timing tuple to key on). Envelope
-// ProvDropped markers are accounted, not stored.
-func (r *Recorder) RecordProv(traceID string, ev kqml.ProvEvent) {
-	if traceID == "" {
-		return
-	}
-	now := r.now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.traces[traceID]
-	if !ok {
-		r.evictLocked(now)
-		t = &trace{id: traceID, seen: make(map[spanKey]struct{})}
-		r.traces[traceID] = t
-	}
-	t.lastUpdate = now
-	if ev.Kind == kqml.ProvDropped {
-		t.provDropped += int64(ev.Dropped)
-		return
-	}
-	key, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	if t.provSeen == nil {
-		t.provSeen = make(map[string]struct{})
-	}
-	if _, dup := t.provSeen[string(key)]; dup {
-		return
-	}
-	if len(t.prov) >= r.opts.MaxProvPerTrace {
-		t.provDropped++
-		return
-	}
-	t.provSeen[string(key)] = struct{}{}
-	t.prov = append(t.prov, ev)
-}
-
 // evictLocked drops aged-out traces, then the least recently updated ones
-// until a new trace fits under MaxTraces. Called with r.mu held.
+// until a new trace fits under maxTraces. Called with r.mu held.
 func (r *Recorder) evictLocked(now time.Time) {
-	cutoff := now.Add(-r.opts.MaxTraceAge)
+	cutoff := now.Add(-r.maxTraceAge)
 	for id, t := range r.traces {
 		if t.lastUpdate.Before(cutoff) {
 			delete(r.traces, id)
 		}
 	}
-	for len(r.traces) >= r.opts.MaxTraces {
+	for len(r.traces) >= r.maxTraces {
 		var oldest *trace
 		for _, t := range r.traces {
 			if oldest == nil || t.lastUpdate.Before(oldest.lastUpdate) {
@@ -282,14 +216,14 @@ func (r *Recorder) Drops() int64 { return r.drops.Load() }
 
 // Spans returns up to limit of the most recent ring spans, oldest first
 // (limit <= 0 means all).
-func (r *Recorder) Spans(limit int) []telemetry.Span {
+func (r *Recorder) Spans(limit int) []kqml.TraceSpan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.head
 	if r.filled {
 		n = len(r.ring)
 	}
-	out := make([]telemetry.Span, 0, n)
+	out := make([]kqml.TraceSpan, 0, n)
 	start := 0
 	if r.filled {
 		start = r.head
@@ -314,12 +248,11 @@ type Summary struct {
 	MaxHop int `json:"max_hop"`
 	// Errors counts spans that recorded an error.
 	Errors int `json:"errors,omitempty"`
-	// Dropped counts spans lost to envelope caps or per-trace bounds.
+	// Dropped counts spans and decisions lost to envelope caps or
+	// per-trace bounds.
 	Dropped int64 `json:"dropped,omitempty"`
-	// Prov counts stored decision-provenance events; ProvDropped counts
-	// events lost to envelope caps or per-trace bounds.
-	Prov        int   `json:"prov,omitempty"`
-	ProvDropped int64 `json:"prov_dropped,omitempty"`
+	// Prov counts stored decisions.
+	Prov int `json:"prov,omitempty"`
 	// StartUnixNano is the earliest span start; DurationMicros spans from
 	// it to the latest span end.
 	StartUnixNano  int64 `json:"start,omitempty"`
@@ -327,8 +260,7 @@ type Summary struct {
 }
 
 func (t *trace) summary() Summary {
-	s := Summary{ID: t.id, Spans: len(t.spans), Errors: t.errors, Dropped: t.dropped,
-		Prov: len(t.prov), ProvDropped: t.provDropped}
+	s := Summary{ID: t.id, Spans: len(t.spans), Errors: t.errors, Dropped: t.dropped, Prov: len(t.decisions)}
 	agents := make(map[string]struct{})
 	var minStart, maxEnd int64
 	for _, sp := range t.spans {
@@ -336,13 +268,13 @@ func (t *trace) summary() Summary {
 		if sp.Hop > s.MaxHop {
 			s.MaxHop = sp.Hop
 		}
-		if sp.StartUnixNano == 0 {
+		if sp.Start == 0 {
 			continue
 		}
-		if minStart == 0 || sp.StartUnixNano < minStart {
-			minStart = sp.StartUnixNano
+		if minStart == 0 || sp.Start < minStart {
+			minStart = sp.Start
 		}
-		if end := sp.EndUnixNano(); end > maxEnd {
+		if end := endOf(&sp); end > maxEnd {
 			maxEnd = end
 		}
 	}
@@ -383,10 +315,10 @@ func (r *Recorder) Summaries(limit int) []Summary {
 func (r *Recorder) Trace(id string) (*Tree, bool) {
 	r.mu.Lock()
 	t, ok := r.traces[id]
-	var spans []telemetry.Span
+	var spans []kqml.TraceSpan
 	var sum Summary
 	if ok {
-		spans = append([]telemetry.Span(nil), t.spans...)
+		spans = append([]kqml.TraceSpan(nil), t.spans...)
 		sum = t.summary()
 	}
 	r.mu.Unlock()
@@ -394,4 +326,9 @@ func (r *Recorder) Trace(id string) (*Tree, bool) {
 		return nil, false
 	}
 	return assemble(sum, spans), true
+}
+
+// endOf returns a span's end time in Unix nanoseconds.
+func endOf(s *kqml.TraceSpan) int64 {
+	return s.Start + s.DurationMicros*1000
 }

@@ -9,20 +9,28 @@ import (
 	"testing"
 	"time"
 
+	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
 )
 
-func span(trace, agent, op string, hop int, start, us int64) telemetry.Span {
-	return telemetry.Span{
-		TraceID: trace, Agent: agent, Op: op, Hop: hop,
-		StartUnixNano: start, DurationMicros: us,
-	}
+// tspan is a trace entry under its trace ID.
+type tspan struct {
+	id string
+	kqml.TraceSpan
 }
 
+func span(trace, agent, op string, hop int, start, us int64) tspan {
+	return tspan{trace, kqml.TraceSpan{Agent: agent, Op: op, Hop: hop, Start: start, DurationMicros: us}}
+}
+
+// record hands s to the recorder under its trace ID.
+func (r *Recorder) record(s tspan) { r.RecordSpan(s.id, s.TraceSpan) }
+
 func TestRingEvictionOrderAndDrops(t *testing.T) {
-	r := New(Options{SpanCapacity: 4})
+	r := New()
+	r.ring = make([]kqml.TraceSpan, 4)
 	for i := 0; i < 6; i++ {
-		r.RecordSpan(span("t", fmt.Sprintf("a%d", i), "op", 0, int64(i+1), 1))
+		r.record(span("t", fmt.Sprintf("a%d", i), "op", 0, int64(i+1), 1))
 	}
 	if got := r.Drops(); got != 2 {
 		t.Fatalf("Drops() = %d, want 2 (6 spans through a 4-slot ring)", got)
@@ -43,18 +51,18 @@ func TestRingEvictionOrderAndDrops(t *testing.T) {
 }
 
 func TestUntracedSpansIgnored(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(telemetry.Span{Agent: "a", Op: "op"})
+	r := New()
+	r.RecordSpan("", kqml.TraceSpan{Agent: "a", Op: "op"})
 	if len(r.Spans(0)) != 0 || len(r.Summaries(0)) != 0 {
 		t.Fatal("span without a trace ID must be ignored")
 	}
 }
 
 func TestTraceDeduplication(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	s := span("t1", "agent", "broker.search", 1, 100, 50)
-	r.RecordSpan(s)
-	r.RecordSpan(s) // envelope mirror of the same span
+	r.record(s)
+	r.record(s) // envelope mirror of the same span
 	sums := r.Summaries(0)
 	if len(sums) != 1 || sums[0].Spans != 1 {
 		t.Fatalf("Summaries = %+v, want one trace with one span after dedup", sums)
@@ -62,13 +70,13 @@ func TestTraceDeduplication(t *testing.T) {
 }
 
 func TestTraceSummaryFields(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(span("t1", "user", "useragent.submit", 0, 1_000_000, 900))
-	r.RecordSpan(span("t1", "b1", "broker.search", 0, 1_100_000, 300))
-	r.RecordSpan(span("t1", "b2", "broker.search", 1, 1_200_000, 100))
+	r := New()
+	r.record(span("t1", "user", "useragent.submit", 0, 1_000_000, 900))
+	r.record(span("t1", "b1", "broker.search", 0, 1_100_000, 300))
+	r.record(span("t1", "b2", "broker.search", 1, 1_200_000, 100))
 	errSpan := span("t1", "res", "resource.query", 0, 1_300_000, 10)
 	errSpan.Err = "boom"
-	r.RecordSpan(errSpan)
+	r.record(errSpan)
 	sums := r.Summaries(0)
 	if len(sums) != 1 {
 		t.Fatalf("got %d summaries, want 1", len(sums))
@@ -87,10 +95,9 @@ func TestTraceSummaryFields(t *testing.T) {
 }
 
 func TestDroppedMarkerAccounting(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(span("t1", "a", "op", 0, 1, 1))
-	marker := telemetry.Span{TraceID: "t1", Op: telemetry.OpTraceDropped, Dropped: 7}
-	r.RecordSpan(marker)
+	r := New()
+	r.record(span("t1", "a", "op", 0, 1, 1))
+	r.RecordSpan("t1", kqml.TraceSpan{Op: kqml.OpTraceDropped, Dropped: 7})
 	sums := r.Summaries(0)
 	if len(sums) != 1 || sums[0].Dropped != 7 || sums[0].Spans != 1 {
 		t.Fatalf("Summaries = %+v, want dropped=7 and the marker not stored", sums)
@@ -98,9 +105,10 @@ func TestDroppedMarkerAccounting(t *testing.T) {
 }
 
 func TestPerTraceSpanBound(t *testing.T) {
-	r := New(Options{MaxSpansPerTrace: 3})
+	r := New()
+	r.maxSpansPerTrace = 3
 	for i := 0; i < 5; i++ {
-		r.RecordSpan(span("t1", fmt.Sprintf("a%d", i), "op", 0, int64(i+1), 1))
+		r.record(span("t1", fmt.Sprintf("a%d", i), "op", 0, int64(i+1), 1))
 	}
 	sums := r.Summaries(0)
 	if sums[0].Spans != 3 || sums[0].Dropped != 2 {
@@ -109,15 +117,16 @@ func TestPerTraceSpanBound(t *testing.T) {
 }
 
 func TestTraceEvictionByCountAndAge(t *testing.T) {
-	r := New(Options{MaxTraces: 2, MaxTraceAge: time.Minute})
+	r := New()
+	r.maxTraces, r.maxTraceAge = 2, time.Minute
 	now := time.Unix(1000, 0)
 	r.now = func() time.Time { return now }
 
-	r.RecordSpan(span("t1", "a", "op", 0, 1, 1))
+	r.record(span("t1", "a", "op", 0, 1, 1))
 	now = now.Add(time.Second)
-	r.RecordSpan(span("t2", "a", "op", 0, 2, 1))
+	r.record(span("t2", "a", "op", 0, 2, 1))
 	now = now.Add(time.Second)
-	r.RecordSpan(span("t3", "a", "op", 0, 3, 1)) // evicts t1 (LRU)
+	r.record(span("t3", "a", "op", 0, 3, 1)) // evicts t1 (LRU)
 	if _, ok := r.Trace("t1"); ok {
 		t.Fatal("t1 should have been evicted as least recently updated")
 	}
@@ -128,7 +137,7 @@ func TestTraceEvictionByCountAndAge(t *testing.T) {
 	// Age: everything stops updating, a new trace 2 minutes later evicts
 	// the aged-out rest.
 	now = now.Add(2 * time.Minute)
-	r.RecordSpan(span("t4", "a", "op", 0, 4, 1))
+	r.record(span("t4", "a", "op", 0, 4, 1))
 	if _, ok := r.Trace("t2"); ok {
 		t.Fatal("t2 should have aged out")
 	}
@@ -138,12 +147,12 @@ func TestTraceEvictionByCountAndAge(t *testing.T) {
 }
 
 func TestSummariesMostRecentFirst(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	now := time.Unix(1000, 0)
 	r.now = func() time.Time { return now }
-	r.RecordSpan(span("old", "a", "op", 0, 1, 1))
+	r.record(span("old", "a", "op", 0, 1, 1))
 	now = now.Add(time.Second)
-	r.RecordSpan(span("new", "a", "op", 0, 2, 1))
+	r.record(span("new", "a", "op", 0, 2, 1))
 	sums := r.Summaries(0)
 	if len(sums) != 2 || sums[0].ID != "new" || sums[1].ID != "old" {
 		t.Fatalf("Summaries order = %v, want [new old]", []string{sums[0].ID, sums[1].ID})
@@ -154,14 +163,15 @@ func TestSummariesMostRecentFirst(t *testing.T) {
 }
 
 func TestConcurrentRecord(t *testing.T) {
-	r := New(Options{SpanCapacity: 64, MaxTraces: 8})
+	r := New()
+	r.ring, r.maxTraces = make([]kqml.TraceSpan, 64), 8
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.RecordSpan(span(fmt.Sprintf("t%d", g%4), fmt.Sprintf("a%d", g), "op", 0, int64(g*1000+i+1), 1))
+				r.record(span(fmt.Sprintf("t%d", g%4), fmt.Sprintf("a%d", g), "op", 0, int64(g*1000+i+1), 1))
 			}
 		}(g)
 	}
@@ -185,15 +195,15 @@ func TestConcurrentRecord(t *testing.T) {
 // same nesting timing implies: a root enclosing a broker hop enclosing a
 // forwarded hop, with a concurrent sibling RPC kept at the right level.
 func TestOutOfOrderAssembly(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	ms := int64(1_000_000)
 	// Arrival order is deliberately inside-out.
-	r.RecordSpan(span("t", "Broker2", "broker.search", 1, 40*ms, 10_000))  // forwarded hop
-	r.RecordSpan(span("t", "user", "useragent.submit", 0, 10*ms, 100_000)) // root (earliest)
-	r.RecordSpan(span("t", "user", "rpc.call", 0, 20*ms, 40_000))          // user -> broker1
-	r.RecordSpan(span("t", "Broker1", "broker.search", 0, 30*ms, 25_000))  // entry hop
-	r.RecordSpan(span("t", "Broker1", "rpc.call", 0, 35*ms, 18_000))       // broker1 -> broker2
-	r.RecordSpan(span("t", "user", "rpc.call", 0, 70*ms, 20_000))          // second, later sibling RPC
+	r.record(span("t", "Broker2", "broker.search", 1, 40*ms, 10_000))  // forwarded hop
+	r.record(span("t", "user", "useragent.submit", 0, 10*ms, 100_000)) // root (earliest)
+	r.record(span("t", "user", "rpc.call", 0, 20*ms, 40_000))          // user -> broker1
+	r.record(span("t", "Broker1", "broker.search", 0, 30*ms, 25_000))  // entry hop
+	r.record(span("t", "Broker1", "rpc.call", 0, 35*ms, 18_000))       // broker1 -> broker2
+	r.record(span("t", "user", "rpc.call", 0, 70*ms, 20_000))          // second, later sibling RPC
 
 	tree, ok := r.Trace("t")
 	if !ok {
@@ -226,10 +236,10 @@ func TestOutOfOrderAssembly(t *testing.T) {
 // TestSameAgentRPCSiblings: two concurrent fan-out calls from one agent
 // where one window covers the other must not nest.
 func TestSameAgentRPCSiblings(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(span("t", "Broker1", "broker.search", 0, 100, 100_000))
-	r.RecordSpan(span("t", "Broker1", "rpc.call", 0, 1_000, 90_000)) // long call
-	r.RecordSpan(span("t", "Broker1", "rpc.call", 0, 2_000, 10_000)) // covered by it
+	r := New()
+	r.record(span("t", "Broker1", "broker.search", 0, 100, 100_000))
+	r.record(span("t", "Broker1", "rpc.call", 0, 1_000, 90_000)) // long call
+	r.record(span("t", "Broker1", "rpc.call", 0, 2_000, 10_000)) // covered by it
 	tree, _ := r.Trace("t")
 	if len(tree.Roots) != 1 {
 		t.Fatalf("want single root, got %d", len(tree.Roots))
@@ -242,9 +252,9 @@ func TestSameAgentRPCSiblings(t *testing.T) {
 // TestHopChainFallback: a broker span without timing still lands under
 // the hop above it.
 func TestHopChainFallback(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(span("t", "Broker1", "broker.search", 0, 1_000, 50_000))
-	r.RecordSpan(span("t", "Broker2", "broker.search", 1, 0, 10)) // no Start
+	r := New()
+	r.record(span("t", "Broker1", "broker.search", 0, 1_000, 50_000))
+	r.record(span("t", "Broker2", "broker.search", 1, 0, 10)) // no Start
 	tree, _ := r.Trace("t")
 	if len(tree.Roots) != 1 {
 		t.Fatalf("want single root, got %d roots", len(tree.Roots))
@@ -256,11 +266,11 @@ func TestHopChainFallback(t *testing.T) {
 }
 
 func TestFormatRendersTree(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(span("t", "user", "useragent.submit", 0, 1_000, 2_000))
+	r := New()
+	r.record(span("t", "user", "useragent.submit", 0, 1_000, 2_000))
 	e := span("t", "Broker1", "broker.search", 1, 2_000, 500)
 	e.Err = "no matches"
-	r.RecordSpan(e)
+	r.record(e)
 	tree, _ := r.Trace("t")
 	text := tree.Format()
 	for _, want := range []string{"trace t:", "useragent.submit", "broker.search[1]", "ERR no matches", "1 errors"} {
@@ -271,9 +281,9 @@ func TestFormatRendersTree(t *testing.T) {
 }
 
 func TestHTTPTraceEndpoints(t *testing.T) {
-	r := New(Options{})
-	r.RecordSpan(span("abc123", "user", "useragent.submit", 0, 1_000, 500))
-	r.RecordSpan(span("abc123", "Broker1", "broker.search", 0, 1_500, 100))
+	r := New()
+	r.record(span("abc123", "user", "useragent.submit", 0, 1_000, 500))
+	r.record(span("abc123", "Broker1", "broker.search", 0, 1_500, 100))
 	h := r.Handler()
 
 	// Listing.
@@ -319,7 +329,7 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 	}
 
 	// Empty recorder lists as [], not null.
-	empty := New(Options{})
+	empty := New()
 	rw = httptest.NewRecorder()
 	empty.Handler().ServeHTTP(rw, httptest.NewRequest("GET", "/traces", nil))
 	if got := strings.TrimSpace(rw.Body.String()); got != "[]" {
@@ -328,19 +338,19 @@ func TestHTTPTraceEndpoints(t *testing.T) {
 }
 
 func TestInstalledRecorderReceivesSpans(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	prev := telemetry.SetSpanRecorder(r)
 	defer telemetry.SetSpanRecorder(prev)
 	if !telemetry.SpanRecorderActive() {
 		t.Fatal("SpanRecorderActive() = false after install")
 	}
-	telemetry.RecordSpan(span("t", "a", "op", 0, 1, 1))
-	telemetry.RecordSpan(telemetry.Span{Agent: "a", Op: "op"}) // no trace ID: dropped
+	telemetry.RecordSpan("t", kqml.TraceSpan{Agent: "a", Op: "op", Start: 1, DurationMicros: 1})
+	telemetry.RecordSpan("", kqml.TraceSpan{Agent: "a", Op: "op"}) // no trace ID: dropped
 	if got := len(r.Spans(0)); got != 1 {
 		t.Fatalf("recorder holds %d spans, want 1", got)
 	}
 	telemetry.SetSpanRecorder(prev)
-	telemetry.RecordSpan(span("t", "a", "op2", 0, 2, 1))
+	telemetry.RecordSpan("t", kqml.TraceSpan{Agent: "a", Op: "op2", Start: 2, DurationMicros: 1})
 	if got := len(r.Spans(0)); got != 1 {
 		t.Fatalf("uninstalled recorder still received spans (%d)", got)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
 )
 
@@ -19,13 +20,13 @@ func warmOp(r *Recorder, op string) {
 }
 
 func TestSlowlogPinsSlowRoot(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	warmOp(r, "mrq.run")
 	if got := r.Slowlog(0); len(got) != 0 {
 		t.Fatalf("bulk traffic pinned %d entries", len(got))
 	}
 	// Record a span so the pinned entry can capture an explain report.
-	r.RecordSpan(telemetry.Span{TraceID: "t-slow", Agent: "MRQ", Op: "mrq.run", StartUnixNano: 1, DurationMicros: 50000})
+	r.RecordSpan("t-slow", kqml.TraceSpan{Agent: "MRQ", Op: "mrq.run", Start: 1, DurationMicros: 50000})
 	r.ObserveRoot(telemetry.RootOutcome{Op: "mrq.run", TraceID: "t-slow", DurationMicros: 50000})
 	entries := r.Slowlog(0)
 	if len(entries) != 1 {
@@ -41,7 +42,7 @@ func TestSlowlogPinsSlowRoot(t *testing.T) {
 }
 
 func TestSlowlogPinsErrorAndPartialBeforeWarmup(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	// Error and degraded roots pin even on a cold estimator.
 	r.ObserveRoot(telemetry.RootOutcome{Op: "mrq.run", TraceID: "t-err", DurationMicros: 10, Err: true})
 	r.ObserveRoot(telemetry.RootOutcome{Op: "mrq.run", TraceID: "t-part", DurationMicros: 10, Degraded: true})
@@ -58,7 +59,7 @@ func TestSlowlogPinsErrorAndPartialBeforeWarmup(t *testing.T) {
 }
 
 func TestSlowlogDedupOutermostWins(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	// One conversation reports roots at several layers: the resource query,
 	// then the MRQ run, then the user submission. One entry, outermost root.
 	r.ObserveRoot(telemetry.RootOutcome{Op: "resource.query", TraceID: "t1", DurationMicros: 4000, Err: true})
@@ -76,7 +77,8 @@ func TestSlowlogDedupOutermostWins(t *testing.T) {
 }
 
 func TestSlowlogRingBounded(t *testing.T) {
-	r := New(Options{SlowlogCapacity: 4})
+	r := New()
+	r.slow = make([]SlowEntry, 4)
 	for i := 0; i < 10; i++ {
 		r.ObserveRoot(telemetry.RootOutcome{
 			Op: "mrq.run", TraceID: fmt.Sprintf("t%d", i), DurationMicros: int64(1000 + i), Err: true,
@@ -95,7 +97,7 @@ func TestSlowlogRingBounded(t *testing.T) {
 }
 
 func TestSlowlogHandlerAndFormat(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	r.ObserveRoot(telemetry.RootOutcome{Op: "mrq.run", TraceID: "tj", DurationMicros: 1234, Err: true})
 
 	rr := httptest.NewRecorder()
@@ -122,7 +124,7 @@ func TestSlowlogHandlerAndFormat(t *testing.T) {
 	}
 
 	// An empty slowlog serves [] rather than null.
-	empty := New(Options{})
+	empty := New()
 	rr = httptest.NewRecorder()
 	empty.SlowlogHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/slowlog", nil))
 	if strings.TrimSpace(rr.Body.String()) != "[]" {

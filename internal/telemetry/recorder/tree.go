@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
 )
 
@@ -38,7 +39,7 @@ type Tree struct {
 // sibling RPCs issued by one agent never nest under each other, and a
 // broker-search span that timing could not place still attaches under the
 // nearest broker-search one hop shallower (the BrokerQuery.Depth chain).
-func assemble(sum Summary, spans []telemetry.Span) *Tree {
+func assemble(sum Summary, spans []kqml.TraceSpan) *Tree {
 	tree := &Tree{Summary: sum}
 	if len(spans) == 0 {
 		return tree
@@ -50,7 +51,7 @@ func assemble(sum Summary, spans []telemetry.Span) *Tree {
 			Agent:          s.Agent,
 			Op:             s.Op,
 			Hop:            s.Hop,
-			StartUnixNano:  s.StartUnixNano,
+			StartUnixNano:  s.Start,
 			DurationMicros: s.DurationMicros,
 			Err:            s.Err,
 		}
@@ -58,18 +59,18 @@ func assemble(sum Summary, spans []telemetry.Span) *Tree {
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		sa, sb := spans[order[a]], spans[order[b]]
-		if sa.StartUnixNano != sb.StartUnixNano {
+		if sa.Start != sb.Start {
 			// Zero (unknown) starts sort last; they fall back to the
 			// hop chain or the roots.
-			if sa.StartUnixNano == 0 {
+			if sa.Start == 0 {
 				return false
 			}
-			if sb.StartUnixNano == 0 {
+			if sb.Start == 0 {
 				return true
 			}
-			return sa.StartUnixNano < sb.StartUnixNano
+			return sa.Start < sb.Start
 		}
-		if ea, eb := sa.EndUnixNano(), sb.EndUnixNano(); ea != eb {
+		if ea, eb := endOf(&sa), endOf(&sb); ea != eb {
 			return ea > eb // longer first: enclosing span before enclosed
 		}
 		return opRank(sa.Op) < opRank(sb.Op)
@@ -120,13 +121,13 @@ func assemble(sum Summary, spans []telemetry.Span) *Tree {
 // broker-search span one hop shallower, anywhere in the existing forest.
 // It reports whether a parent was found.
 func attachByHop(roots []*Node, n *Node) bool {
-	if n.Op != telemetry.OpBrokerSearch || n.Hop == 0 || n.StartUnixNano != 0 {
+	if n.Op != kqml.OpBrokerSearch || n.Hop == 0 || n.StartUnixNano != 0 {
 		return false
 	}
 	var find func(list []*Node) *Node
 	find = func(list []*Node) *Node {
 		for _, c := range list {
-			if c.Op == telemetry.OpBrokerSearch && c.Hop == n.Hop-1 {
+			if c.Op == kqml.OpBrokerSearch && c.Hop == n.Hop-1 {
 				return c
 			}
 			if hit := find(c.Children); hit != nil {
@@ -162,9 +163,9 @@ func opRank(op string) int {
 		return 6
 	case op == telemetry.OpMRQFetch:
 		return 7
-	case op == telemetry.OpBrokerSearch:
+	case op == kqml.OpBrokerSearch:
 		return 8
-	case op == telemetry.OpResourceQuery:
+	case op == kqml.OpResourceQuery:
 		return 9
 	default:
 		return 10

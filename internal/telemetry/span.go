@@ -3,54 +3,19 @@ package telemetry
 import (
 	"context"
 	"sync/atomic"
+
+	"infosleuth/internal/kqml"
 )
 
-// Span is one completed unit of traced work: an agent handling a message,
-// a client-side RPC round trip, a broker search at some forwarding depth.
-// It is the recorder-side mirror of the kqml TraceSpan that rides reply
-// envelopes, widened with the trace ID (implicit on the envelope) and an
-// error string. Field encodings match the wire form — start in Unix
-// nanoseconds, duration in microseconds — so a span observed locally and
-// its copy ingested from a reply envelope compare equal and deduplicate.
-type Span struct {
-	// TraceID is the conversation the span belongs to; never empty for a
-	// recorded span.
-	TraceID string `json:"trace_id"`
-	// Agent names the agent that did the work.
-	Agent string `json:"agent"`
-	// Op is what the agent did (see the Op* constants).
-	Op string `json:"op"`
-	// Hop is the inter-broker distance from the origin broker, 0 for
-	// non-broker spans.
-	Hop int `json:"hop,omitempty"`
-	// StartUnixNano is the span's start time in Unix nanoseconds.
-	StartUnixNano int64 `json:"start,omitempty"`
-	// DurationMicros is the span's duration in microseconds.
-	DurationMicros int64 `json:"us,omitempty"`
-	// Err is the error the spanned operation returned, empty on success.
-	Err string `json:"err,omitempty"`
-	// Dropped carries the span count folded into a trace-dropped marker
-	// span (see the kqml envelope cap); 0 for ordinary spans.
-	Dropped int `json:"dropped,omitempty"`
-}
-
-// EndUnixNano returns the span's end time in Unix nanoseconds.
-func (s *Span) EndUnixNano() int64 {
-	return s.StartUnixNano + s.DurationMicros*1000
-}
-
-// Span op names. The envelope-level constants (broker search, the dropped
-// marker) are duplicated from package kqml rather than imported so that
-// kqml keeps its telemetry-free dependency posture; a cross-check test in
-// internal/transport pins the strings together.
+// Span op names. The ops that ride envelopes between agents — the broker
+// search, the resource query, decisions and the drop marker — are
+// defined in package kqml.
 const (
 	// OpRPCCall is a client-side transport round trip.
 	OpRPCCall = "rpc.call"
 	// OpDispatchPrefix prefixes agent.Base dispatch spans; the full op is
 	// "dispatch." + performative.
 	OpDispatchPrefix = "dispatch."
-	// OpBrokerSearch mirrors kqml.OpBrokerSearch.
-	OpBrokerSearch = "broker.search"
 	// OpQueryBrokers is an agent's broker-query attempt loop (connected
 	// brokers first, then known brokers).
 	OpQueryBrokers = "query.brokers"
@@ -64,8 +29,6 @@ const (
 	// OpMRQFetch is one fragment fetch against one resource agent inside
 	// an MRQ fan-out; the spans under an mrq.assemble show its shape.
 	OpMRQFetch = "mrq.fetch"
-	// OpResourceQuery is a resource agent executing a data query.
-	OpResourceQuery = "resource.query"
 	// OpRetryAttempt marks a resilience-policy retry: the span's agent is
 	// the peer being retried and its error notes the attempt number.
 	OpRetryAttempt = "retry.attempt"
@@ -77,16 +40,14 @@ const (
 	// OpSubscribeEval is a resource agent re-evaluating one standing
 	// query after a data change (the subscribe conversation's push side).
 	OpSubscribeEval = "subscribe.eval"
-	// OpTraceDropped mirrors kqml.OpTraceDropped: a marker standing in
-	// for spans evicted from a capped envelope trace.
-	OpTraceDropped = "trace.dropped"
 )
 
-// SpanRecorder consumes completed spans. Implementations must be safe for
-// concurrent use and must not block: RecordSpan is called on transport and
-// dispatch hot paths.
+// SpanRecorder consumes the entries of traced conversations: completed
+// timing spans, decisions and drop markers, each under its trace ID.
+// Implementations must be safe for concurrent use and must not block:
+// RecordSpan is called on transport and dispatch hot paths.
 type SpanRecorder interface {
-	RecordSpan(Span)
+	RecordSpan(traceID string, s kqml.TraceSpan)
 }
 
 // recorderBox wraps the interface so atomic.Pointer has one concrete type.
@@ -116,14 +77,14 @@ func SpanRecorderActive() bool {
 	return activeRecorder.Load() != nil
 }
 
-// RecordSpan hands a completed span to the installed recorder; it is a
-// no-op when none is installed. Spans without a trace ID are ignored.
-func RecordSpan(s Span) {
-	if s.TraceID == "" {
+// RecordSpan hands one trace entry to the installed recorder; it is a
+// no-op when none is installed. Entries without a trace ID are ignored.
+func RecordSpan(traceID string, s kqml.TraceSpan) {
+	if traceID == "" {
 		return
 	}
 	if box := activeRecorder.Load(); box != nil {
-		box.r.RecordSpan(s)
+		box.r.RecordSpan(traceID, s)
 	}
 }
 

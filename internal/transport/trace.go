@@ -5,65 +5,37 @@ import (
 
 	"infosleuth/internal/kqml"
 	"infosleuth/internal/telemetry"
-	"infosleuth/internal/telemetry/provenance"
 )
 
 // This file is the bridge between KQML conversation tracing and the
 // process-local flight recorder. The kqml package stays telemetry-free
-// (spans ride reply envelopes as plain data); transport is the lowest
-// layer that imports both, so it translates envelope spans into recorder
-// spans and stamps every client call with its own rpc.call span. Because
-// every inter-agent exchange goes through Call, ingesting reply envelopes
-// here covers broker forwards, MRQ fan-out and resource fetches without
-// per-caller wiring.
-
-// RecordTraceSpans mirrors envelope spans into the installed span
-// recorder, if any. Agents call it (directly or via PropagateTrace call
-// sites) when they produce a span locally, and Call invokes it on every
-// reply's trace; the recorder deduplicates the double delivery.
-func RecordTraceSpans(traceID string, spans ...kqml.TraceSpan) {
-	if traceID == "" || len(spans) == 0 || !telemetry.SpanRecorderActive() {
-		return
-	}
-	for _, s := range spans {
-		telemetry.RecordSpan(telemetry.Span{
-			TraceID:        traceID,
-			Agent:          s.Agent,
-			Op:             s.Op,
-			Hop:            s.Hop,
-			StartUnixNano:  s.Start,
-			DurationMicros: s.DurationMicros,
-			Err:            s.Err,
-			Dropped:        s.Dropped,
-		})
-	}
-}
+// (spans and decisions ride reply envelopes as plain data); transport
+// stamps every client call with its own rpc.call span and hands every
+// entry a traced reply carried back to the recorder. Because every
+// inter-agent exchange goes through Call, ingesting reply envelopes here
+// covers broker forwards, MRQ fan-out and resource fetches without
+// per-caller wiring; the recorder deduplicates an entry that is also
+// recorded where it was produced.
 
 // recordCallTrace emits the client-side rpc.call span for a traced call
-// and ingests whatever spans and provenance events the reply envelope
-// carried back.
+// and ingests whatever entries the reply envelope carried back.
 func recordCallTrace(msg, reply *kqml.Message, start time.Time, err error) {
-	if msg == nil || msg.TraceID == "" {
+	if msg == nil || msg.TraceID == "" || !telemetry.SpanRecorderActive() {
 		return
 	}
-	if err == nil && reply != nil && reply.TraceID == msg.TraceID && provenance.Active() {
-		provenance.RecordEnvelope(reply.TraceID, reply.Provenance...)
-	}
-	if !telemetry.SpanRecorderActive() {
-		return
-	}
-	span := telemetry.Span{
-		TraceID:        msg.TraceID,
+	span := kqml.TraceSpan{
 		Agent:          msg.Sender,
 		Op:             telemetry.OpRPCCall,
-		StartUnixNano:  start.UnixNano(),
+		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
 	}
 	if err != nil {
 		span.Err = err.Error()
 	}
-	telemetry.RecordSpan(span)
+	telemetry.RecordSpan(msg.TraceID, span)
 	if err == nil && reply != nil && reply.TraceID == msg.TraceID {
-		RecordTraceSpans(reply.TraceID, reply.Trace...)
+		for _, s := range reply.Trace {
+			telemetry.RecordSpan(reply.TraceID, s)
+		}
 	}
 }

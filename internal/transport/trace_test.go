@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -10,22 +11,28 @@ import (
 	"infosleuth/internal/telemetry"
 )
 
+// recorded is one entry a collector received, with its trace ID.
+type recorded struct {
+	traceID string
+	kqml.TraceSpan
+}
+
 // collector is a minimal telemetry.SpanRecorder for tests.
 type collector struct {
 	mu    sync.Mutex
-	spans []telemetry.Span
+	spans []recorded
 }
 
-func (c *collector) RecordSpan(s telemetry.Span) {
+func (c *collector) RecordSpan(traceID string, s kqml.TraceSpan) {
 	c.mu.Lock()
-	c.spans = append(c.spans, s)
+	c.spans = append(c.spans, recorded{traceID, s})
 	c.mu.Unlock()
 }
 
-func (c *collector) byOp(op string) []telemetry.Span {
+func (c *collector) byOp(op string) []recorded {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []telemetry.Span
+	var out []recorded
 	for _, s := range c.spans {
 		if s.Op == op {
 			out = append(out, s)
@@ -38,22 +45,6 @@ func (c *collector) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.spans)
-}
-
-// TestTraceOpConstantsMatchKQML pins the duplicated op strings together:
-// kqml carries them on envelopes, telemetry assembles trees from them,
-// and the packages deliberately don't import each other.
-func TestTraceOpConstantsMatchKQML(t *testing.T) {
-	pairs := []struct{ kqmlOp, telemetryOp, name string }{
-		{kqml.OpBrokerSearch, telemetry.OpBrokerSearch, "OpBrokerSearch"},
-		{kqml.OpResourceQuery, telemetry.OpResourceQuery, "OpResourceQuery"},
-		{kqml.OpTraceDropped, telemetry.OpTraceDropped, "OpTraceDropped"},
-	}
-	for _, p := range pairs {
-		if p.kqmlOp != p.telemetryOp {
-			t.Errorf("%s diverged: kqml %q vs telemetry %q", p.name, p.kqmlOp, p.telemetryOp)
-		}
-	}
 }
 
 // TestCallRecordsTraceSpans: a traced Call records the client-side
@@ -87,7 +78,7 @@ func TestCallRecordsTraceSpans(t *testing.T) {
 	if len(calls) != 1 {
 		t.Fatalf("recorded %d rpc.call spans, want 1", len(calls))
 	}
-	if c := calls[0]; c.TraceID != msg.TraceID || c.Agent != "caller" || c.StartUnixNano == 0 || c.Err != "" {
+	if c := calls[0]; c.traceID != msg.TraceID || c.Agent != "caller" || c.Start == 0 || c.Err != "" {
 		t.Errorf("rpc.call span = %+v", c)
 	}
 	mirrored := col.byOp(kqml.OpBrokerSearch)
@@ -95,7 +86,7 @@ func TestCallRecordsTraceSpans(t *testing.T) {
 		t.Fatalf("recorded %d mirrored envelope spans, want 1", len(mirrored))
 	}
 	m := mirrored[0]
-	if m.TraceID != msg.TraceID || m.Agent != "traced" || m.Hop != 2 || m.StartUnixNano != 42 ||
+	if m.traceID != msg.TraceID || m.Agent != "traced" || m.Hop != 2 || m.Start != 42 ||
 		m.DurationMicros != 7 || m.Err != "boom" {
 		t.Errorf("mirrored span lost fields: %+v", m)
 	}
@@ -139,28 +130,43 @@ func TestFailedCallRecordsErrSpan(t *testing.T) {
 	}
 }
 
-// TestRecordTraceSpansFieldMapping covers the envelope→telemetry bridge
-// directly, including the Dropped marker.
+// TestRecordTraceSpansFieldMapping: every entry a traced reply carries —
+// a drop marker, a decision, a timing span — reaches the recorder as it
+// rode the envelope, under the conversation's trace ID.
 func TestRecordTraceSpansFieldMapping(t *testing.T) {
 	col := &collector{}
 	prev := telemetry.SetSpanRecorder(col)
 	defer telemetry.SetSpanRecorder(prev)
 
-	RecordTraceSpans("tid",
-		kqml.TraceSpan{Op: kqml.OpTraceDropped, Dropped: 5},
-		kqml.TraceSpan{Agent: "b", Op: kqml.OpResourceQuery, Hop: 1, Start: 10, DurationMicros: 3},
-	)
-	if col.len() != 2 {
-		t.Fatalf("recorded %d spans, want 2", col.len())
+	carried := []kqml.TraceSpan{
+		{Op: kqml.OpTraceDropped, Dropped: 5},
+		{Agent: "b", Op: kqml.OpDecision, Start: 9, Decision: &kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "b",
+			Forward: &kqml.ForwardDecision{Peer: "c"}}},
+		{Agent: "b", Op: kqml.OpResourceQuery, Hop: 1, Start: 10, DurationMicros: 3},
 	}
-	if d := col.byOp(telemetry.OpTraceDropped); len(d) != 1 || d[0].Dropped != 5 || d[0].TraceID != "tid" {
-		t.Errorf("dropped marker = %+v", d)
+	tr := NewInProc()
+	l, err := tr.Listen("inproc://carrier", func(msg *kqml.Message) *kqml.Message {
+		reply := kqml.New(kqml.Tell, "b", &kqml.PingReply{Known: true})
+		reply.TraceID, reply.Trace = msg.TraceID, carried
+		return reply
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// No trace ID or no spans: no-ops.
-	RecordTraceSpans("", kqml.TraceSpan{Agent: "x", Op: "op"})
-	RecordTraceSpans("tid")
-	if col.len() != 2 {
-		t.Errorf("no-op calls recorded spans; have %d", col.len())
+	defer l.Close()
+	msg := kqml.New(kqml.AskAll, "caller", &kqml.SQLQuery{SQL: "q"})
+	msg.TraceID = "tid"
+	if _, err := tr.Call(context.Background(), "inproc://carrier", msg); err != nil {
+		t.Fatal(err)
+	}
+	if col.len() != 1+len(carried) {
+		t.Fatalf("recorded %d entries, want the rpc.call plus %d carried", col.len(), len(carried))
+	}
+	for _, want := range carried {
+		got := col.byOp(want.Op)
+		if len(got) != 1 || got[0].traceID != "tid" || !reflect.DeepEqual(got[0].TraceSpan, want) {
+			t.Errorf("%s entry recorded as %+v, want %+v under tid", want.Op, got, want)
+		}
 	}
 }
 

@@ -418,6 +418,75 @@ func TestReadFrameMidFrameEOF(t *testing.T) {
 	}
 }
 
+// FuzzReadFrame holds readFrame to its contract on arbitrary input: it
+// never panics; it fails with ErrFrameTooLarge exactly when the length
+// prefix exceeds MaxFrame and with ErrTruncatedFrame exactly when fewer
+// bytes arrive than the header or its prefix promised (no bytes at all is
+// a clean io.EOF); otherwise it returns the prefixed payload. And a frame
+// encodeFrame writes for a message reads back as that message's bytes.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(payload []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	}
+	traced := kqml.New(kqml.Tell, "Broker1", &kqml.PingReply{Known: true})
+	traced.TraceID = "t-1"
+	traced.Trace = []kqml.TraceSpan{{Op: kqml.OpTraceDropped, Dropped: 3},
+		{Agent: "Broker1", Op: kqml.OpBrokerSearch, Start: 1, DurationMicros: 2}}
+	wire, err := kqml.Marshal(traced)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		nil, {0}, {0, 0, 0}, frame(nil), frame(wire), append(frame(wire), 'x'), frame(wire)[:len(wire)],
+		binary.BigEndian.AppendUint32(nil, MaxFrame), binary.BigEndian.AppendUint32(nil, MaxFrame+1), wire,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := readFrame(bytes.NewReader(data))
+		switch {
+		case len(data) == 0:
+			if err != io.EOF {
+				t.Fatalf("empty input: err = %v, want io.EOF", err)
+			}
+		case len(data) < frameHeader:
+			if !errors.Is(err, ErrTruncatedFrame) {
+				t.Fatalf("%d header bytes: err = %v, want ErrTruncatedFrame", len(data), err)
+			}
+		default:
+			n := uint64(binary.BigEndian.Uint32(data))
+			switch {
+			case n > MaxFrame:
+				if !errors.Is(err, ErrFrameTooLarge) {
+					t.Fatalf("prefix %d: err = %v, want ErrFrameTooLarge", n, err)
+				}
+			case uint64(len(data)-frameHeader) < n:
+				if !errors.Is(err, ErrTruncatedFrame) {
+					t.Fatalf("prefix %d over %d bytes: err = %v, want ErrTruncatedFrame", n, len(data)-frameHeader, err)
+				}
+			case err != nil || !bytes.Equal(payload, data[frameHeader:frameHeader+n]):
+				t.Fatalf("prefix %d: got %q, %v; want the prefixed payload", n, payload, err)
+			}
+		}
+		m, err := kqml.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		want, err := kqml.Marshal(m)
+		if err != nil {
+			return
+		}
+		written, err := encodeFrame(m)
+		if err != nil {
+			t.Fatalf("encodeFrame of a %d-byte message: %v", len(want), err)
+		}
+		defer releaseFrame(written)
+		if got, err := readFrame(bytes.NewReader(*written)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("round trip: got %q, %v; want %q", got, err, want)
+		}
+	})
+}
+
 // TestErrorPathsAreDistinct pins the taxonomy: unreachable peers,
 // oversized frames, and truncated frames are three different conditions
 // and must never alias (agents treat unreachable as broker death, the

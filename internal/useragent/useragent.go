@@ -162,16 +162,15 @@ func (a *Agent) SubmitTraced(ctx context.Context, sql string) (*sqlparse.Result,
 	}
 	start := time.Now()
 	res, err := a.Submit(ctx, sql)
-	span := telemetry.Span{
-		TraceID:        traceID,
+	span := kqml.TraceSpan{
 		Agent:          a.Name(),
 		Op:             telemetry.OpUserSubmit,
-		StartUnixNano:  start.UnixNano(),
+		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
 	}
 	if err != nil {
 		span.Err = err.Error()
 	}
-	telemetry.RecordSpan(span)
+	telemetry.RecordSpan(traceID, span)
 	return res, traceID, err
 }
