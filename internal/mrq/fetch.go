@@ -13,7 +13,6 @@ import (
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/resilience"
 	"infosleuth/internal/sqlparse"
-	"infosleuth/internal/stats"
 	"infosleuth/internal/telemetry"
 	"infosleuth/internal/telemetry/provenance"
 )
@@ -47,15 +46,17 @@ type fetchPlan struct {
 
 // planFetch computes the pushdown plan for one class. With PushConstraints
 // off (or no safe rewrite available) the plan degenerates to the plain
-// SELECT * fetch of the serial implementation.
-func (a *Agent) planFetch(class, key string, stmt *sqlparse.Select, matches []*ontology.Advertisement) fetchPlan {
+// SELECT * fetch.
+func (a *Agent) planFetch(class string, stmt *sqlparse.Select, matches []*ontology.Advertisement) fetchPlan {
 	plan := fetchPlan{
 		class: class,
-		key:   key,
 		ont:   a.cfg.World.Ontology(a.cfg.Ontology),
 		onto:  a.cfg.Ontology,
 	}
-	if !a.cfg.PushConstraints || stmt == nil {
+	if plan.ont != nil {
+		plan.key = plan.ont.KeyOf(class)
+	}
+	if !a.cfg.PushConstraints {
 		return plan
 	}
 	pp := stmt.PushPlanFor(class)
@@ -77,8 +78,8 @@ func (a *Agent) planFetch(class, key string, stmt *sqlparse.Select, matches []*o
 	// explicit column order both depend on it) and a reliable column
 	// attribution; a SELECT * statement keeps the resource's own schema
 	// order, so it is never narrowed.
-	if !pp.AllCols && key != "" {
-		keyLC := strings.ToLower(key)
+	if !pp.AllCols && plan.key != "" {
+		keyLC := strings.ToLower(plan.key)
 		hasKey := false
 		for _, c := range pp.Cols {
 			if c == keyLC {
@@ -124,6 +125,18 @@ func (p *fetchPlan) sqlFor(ad *ontology.Advertisement) (sql string, pushed bool,
 	return sqlparse.RenderFragmentSelect(p.class, cols, p.conds), true, projCols, fullCols
 }
 
+// pushdownDecision reports the plan's fragment query shape.
+func (a *Agent) pushdownDecision(p *fetchPlan) *kqml.PushdownDecision {
+	pd := &kqml.PushdownDecision{Class: p.class, Blocked: p.blocked, Columns: p.cols}
+	for _, c := range p.conds {
+		pd.Pushed = append(pd.Pushed, c.String())
+	}
+	if !a.cfg.PushConstraints {
+		pd.Fallback = "constraint pushdown disabled"
+	}
+	return pd
+}
+
 // fetchFailure is one resource whose fragment fetch failed with no
 // succeeded redundant advertisement covering its columns.
 type fetchFailure struct {
@@ -134,10 +147,8 @@ type fetchFailure struct {
 }
 
 // fetchFragments gathers one class's fragments from every matched
-// resource with a bounded worker pool. Results come back index-addressed
-// in broker match order (compacted over failures), so arrival order can
-// never change what MergeFragments sees. MaxFanout = 1 reproduces the
-// serial gather exactly.
+// resource. Results come back in broker match order (compacted over
+// failures), so arrival order can never change what MergeFragments sees.
 //
 // Failed fetches go through a failover pass before being reported: a
 // failure whose advertised columns are fully covered by a succeeded
@@ -145,79 +156,47 @@ type fetchFailure struct {
 // doing their job, since the replica's rows are already in the result set
 // and MergeFragments deduplicates the union. Only uncovered failures come
 // back, sorted by agent name.
-func (a *Agent) fetchFragments(ctx context.Context, class, key string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond, traceID string) ([]*kqml.SQLResult, []fetchFailure) {
-	plan := a.planFetch(class, key, stmt, matches)
-	// extra conds come from the planner (a semi-join's IN constraint on
-	// the probe side); they are always sound to push — a row they filter
-	// could never survive the local join — so they bypass the uniform
-	// coverage check above.
-	plan.conds = append(plan.conds, extra...)
+func (a *Agent) fetchFragments(ctx context.Context, plan *fetchPlan, matches []*ontology.Advertisement, traceID string) ([]*kqml.SQLResult, []fetchFailure) {
 	em := provenance.For(ctx, traceID)
 	if em != nil {
-		pd := &kqml.PushdownDecision{Class: class, Blocked: plan.blocked, Columns: plan.cols}
-		for _, c := range plan.conds {
-			pd.Pushed = append(pd.Pushed, c.String())
-		}
-		if !a.cfg.PushConstraints {
-			pd.Fallback = "constraint pushdown disabled"
-		}
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name, Pushdown: pd})
+		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name, Pushdown: a.pushdownDecision(plan)})
 	}
 	n := len(matches)
-	fanout := a.cfg.MaxFanout
-	if fanout <= 0 {
-		fanout = defaultMaxFanout
-	}
-	if fanout > n {
-		fanout = n
-	}
-
 	results := make([]*kqml.SQLResult, n)
-	errs := make([]string, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fanout; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				ad := matches[i]
-				if err := ctx.Err(); err != nil {
-					// Cancellation mid-fan-out: pending fetches are
-					// skipped, not issued.
-					errs[i] = err.Error()
-					mFetchErrors.Inc()
-					continue
-				}
-				sr, err := a.fetchOne(ctx, &plan, ad, traceID)
-				if err != nil {
-					errs[i] = err.Error()
-					mFetchErrors.Inc()
-					continue
-				}
-				results[i] = sr
-			}
-		}()
-	}
-	wg.Wait()
+	errs := a.gather(ctx, n, func(i int) error {
+		sql, pushed, projCols, fullCols := plan.sqlFor(matches[i])
+		sr, bytes, fallback, err := a.fetch(ctx, plan.class, sql, pushed, matches[i], traceID)
+		if err == nil && !fallback && projCols > 0 && fullCols > projCols {
+			// The unpushed reply would have carried all advertised columns
+			// at roughly proportional size; credit the difference.
+			mPushdownSavedBytes.Add(bytes * int64(fullCols-projCols) / int64(projCols))
+		}
+		results[i] = sr
+		return err
+	})
 
-	out := make([]*kqml.SQLResult, 0, n)
-	var okAds []*ontology.Advertisement
-	for i, r := range results {
+	out := results[:0]
+	for _, r := range results {
 		if r != nil {
 			out = append(out, r)
-			okAds = append(okAds, matches[i])
 		}
 	}
-	var lost []fetchFailure
-	for i, e := range errs {
-		if e == "" {
+	var (
+		lost  []fetchFailure
+		okAds []*ontology.Advertisement
+	)
+	for i, err := range errs {
+		if err == nil {
 			continue
 		}
+		if okAds == nil {
+			for j, e := range errs {
+				if e == nil {
+					okAds = append(okAds, matches[j])
+				}
+			}
+		}
+		e := err.Error()
 		if replica := plan.coveringReplica(matches[i], okAds); replica != nil {
 			resilience.RecordFailover()
 			if traceID != "" {
@@ -230,13 +209,13 @@ func (a *Agent) fetchFragments(ctx context.Context, class, key string, stmt *sql
 			}
 			if em != nil {
 				em.Emit(kqml.ProvEvent{Kind: kqml.ProvFailover, Agent: a.cfg.Name,
-					Failover: &kqml.FailoverDecision{Class: class, Lost: matches[i].Name, CoveredBy: replica.Name, Note: e}})
+					Failover: &kqml.FailoverDecision{Class: plan.class, Lost: matches[i].Name, CoveredBy: replica.Name, Note: e}})
 			}
 			continue
 		}
 		if em != nil {
 			em.Emit(kqml.ProvEvent{Kind: kqml.ProvFailover, Agent: a.cfg.Name,
-				Failover: &kqml.FailoverDecision{Class: class, Lost: matches[i].Name, Note: e}})
+				Failover: &kqml.FailoverDecision{Class: plan.class, Lost: matches[i].Name, Note: e}})
 		}
 		lost = append(lost, fetchFailure{Agent: matches[i].Name, Err: e})
 	}
@@ -316,87 +295,100 @@ func servingFragments(ad *ontology.Advertisement, onto, class string, ont *ontol
 	return out
 }
 
-// fetchOne fetches one fragment, recording the fan-out metrics and — on a
-// traced conversation — an mrq.fetch span so trace trees show the
-// scatter's shape.
-func (a *Agent) fetchOne(ctx context.Context, plan *fetchPlan, ad *ontology.Advertisement, traceID string) (*kqml.SQLResult, error) {
+// gather runs fetch for match indexes 0..n-1 on one bounded worker pool:
+// min(MaxFanout, n) workers (MaxFanout 0 means defaultMaxFanout) claim
+// indexes in broker match order, so MaxFanout = 1 is the serial gather.
+// An index claimed after ctx ends is skipped, not fetched, and reports
+// ctx's error. It returns each index's error, nil on success.
+func (a *Agent) gather(ctx context.Context, n int, fetch func(i int) error) []error {
+	fanout := a.cfg.MaxFanout
+	if fanout <= 0 {
+		fanout = defaultMaxFanout
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(fanout, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if err := ctx.Err(); err != nil {
+					mFetchErrors.Inc()
+					errs[i] = err
+					continue
+				}
+				errs[i] = fetch(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// fetch sends one fragment query to one resource: the one fetch call
+// under both the gather and the partial-aggregate push. It counts the
+// fetch, records an mrq.fetch span on traced runs so trace trees show the
+// scatter's shape, feeds the planner's stats, reports the fetch as a
+// decision, and folds the resource's own decisions into this run's. A
+// resource that rejects a pushed rewrite — typically a vertical fragment
+// whose advertisement overstates its columns — is asked for its whole
+// fragment instead, and fallback reports that the reply is that raw
+// fragment. bytes is the reply's content size.
+func (a *Agent) fetch(ctx context.Context, class, sql string, pushed bool, ad *ontology.Advertisement, traceID string) (sr *kqml.SQLResult, bytes int64, fallback bool, err error) {
 	mFanoutInflight.Add(1)
 	mFetchTotal.Inc()
 	start := time.Now()
-	sr, err := a.fetchCall(ctx, plan, ad, traceID)
-	mFanoutInflight.Add(-1)
-	if traceID != "" {
-		span := kqml.TraceSpan{
-			Agent:          a.cfg.Name,
-			Op:             telemetry.OpMRQFetch,
-			Start:          start.UnixNano(),
-			DurationMicros: time.Since(start).Microseconds(),
-		}
+	defer func() {
+		mFanoutInflight.Add(-1)
 		if err != nil {
-			span.Err = err.Error()
+			mFetchErrors.Inc()
 		}
-		telemetry.RecordSpan(traceID, span)
-	}
-	return sr, err
-}
-
-func (a *Agent) fetchCall(ctx context.Context, plan *fetchPlan, ad *ontology.Advertisement, traceID string) (*kqml.SQLResult, error) {
-	sql, pushed, projCols, fullCols := plan.sqlFor(ad)
-	start := time.Now()
-	fallback := false
+		if traceID != "" {
+			a.recordSpan(traceID, telemetry.OpMRQFetch, start, err)
+		}
+	}()
 	reply, err := a.ask(ctx, ad, sql, traceID)
 	if err == nil && pushed && reply.Performative != kqml.Tell {
-		// The resource rejected the rewritten query — typically a
-		// vertical fragment whose advertisement overstates its columns.
-		// Fall back to the unpushed fetch rather than lose the fragment.
 		mPushdownFallbacks.Inc()
-		pushed, projCols = false, 0
 		fallback = true
-		reply, err = a.ask(ctx, ad, "SELECT * FROM "+plan.class, traceID)
+		reply, err = a.ask(ctx, ad, "SELECT * FROM "+class, traceID)
 	}
-	received := int64(0)
-	if err == nil && reply != nil {
-		received = int64(len(reply.Content))
+	if err == nil {
+		bytes = int64(len(reply.Content))
 	}
 	latency := time.Since(start)
-	stats.Queries.Observe(ad.Name, plan.class, latency, received, err != nil)
+	a.plannerStats().Observe(ad.Name, class, latency, bytes, err != nil)
 	if em := provenance.For(ctx, traceID); em != nil {
 		fr := &kqml.FetchReport{
 			Resource:      ad.Name,
-			Class:         plan.class,
+			Class:         class,
 			SQL:           sql,
-			Pushed:        pushed,
+			Pushed:        pushed && !fallback,
 			Fallback:      fallback,
-			Bytes:         received,
+			Bytes:         bytes,
 			LatencyMicros: latency.Microseconds(),
 		}
 		if err != nil {
 			fr.Err = err.Error()
-		} else if reply != nil && reply.Performative != kqml.Tell {
+		} else if reply.Performative != kqml.Tell {
 			fr.Err = kqml.ReasonOf(reply)
 		}
 		em.Emit(kqml.ProvEvent{Kind: kqml.ProvFetch, Agent: a.cfg.Name, Fetch: fr})
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, fallback, err
 	}
-	// Fold the resource's own decision events (pushdown rejections) into
-	// this request's collector so they ride the MRQ's reply too.
 	provenance.CollectReply(ctx, reply)
 	if reply.Performative != kqml.Tell {
-		return nil, fmt.Errorf("%s", kqml.ReasonOf(reply))
+		return nil, 0, fallback, fmt.Errorf("%s", kqml.ReasonOf(reply))
 	}
-	var sr kqml.SQLResult
-	if err := reply.DecodeContent(&sr); err != nil {
-		return nil, err
+	sr = &kqml.SQLResult{}
+	if err := reply.DecodeContent(sr); err != nil {
+		return nil, 0, fallback, err
 	}
-	mFetchBytes.Add(received)
-	if pushed && projCols > 0 && fullCols > projCols {
-		// The unpushed reply would have carried all advertised columns
-		// at roughly proportional size; credit the difference.
-		mPushdownSavedBytes.Add(received * int64(fullCols-projCols) / int64(projCols))
-	}
-	return &sr, nil
+	mFetchBytes.Add(bytes)
+	return sr, bytes, fallback, nil
 }
 
 func (a *Agent) ask(ctx context.Context, ad *ontology.Advertisement, sql, traceID string) (*kqml.Message, error) {

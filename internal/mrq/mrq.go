@@ -63,18 +63,20 @@ type Config struct {
 	// one class (the scatter of Figure 7). 0 means min(8, matched
 	// resources); 1 fetches serially in broker match order.
 	MaxFanout int
-	// Planner enables the federated query planner: semi-join reduction
-	// for cross-class joins, partial-aggregate pushdown, and cost-based
-	// ordering of the fragment fan-out. mrqd and community.Production turn
-	// it on; community.PaperFaithful never plans.
+	// Planner enables the federated query planner's decisions: semi-join
+	// reduction for cross-class joins, partial-aggregate pushdown, and
+	// cost-based ordering of the fragment fan-out. With it off the same
+	// pipeline runs a plan that keeps the broker's match order and
+	// rewrites nothing. mrqd and community.Production turn it on;
+	// community.PaperFaithful never plans.
 	Planner bool
 	// SemiJoinMaxKeys caps how many distinct build-side join keys the
 	// planner pushes as an IN constraint; a larger key set falls back to
 	// the full-fragment fetch. 0 means DefaultSemiJoinMaxKeys.
 	SemiJoinMaxKeys int
-	// PlannerStats overrides the per-peer/per-class EWMA stats source the
-	// cost model consults (tests); nil uses the process-wide
-	// stats.Queries aggregator that live fetches feed.
+	// PlannerStats overrides the per-peer/per-class EWMA stats source
+	// that this agent's fetches feed and its cost model consults (tests);
+	// nil uses the process-wide stats.Queries aggregator.
 	PlannerStats *stats.QueryStats
 }
 
@@ -227,16 +229,7 @@ func (a *Agent) RunWithStatus(ctx context.Context, sql string) (*sqlparse.Result
 	res, status, err := a.run(ctx, sql)
 	dur := time.Since(start)
 	if traceID != "" {
-		span := kqml.TraceSpan{
-			Agent:          a.cfg.Name,
-			Op:             telemetry.OpMRQRun,
-			Start:          start.UnixNano(),
-			DurationMicros: dur.Microseconds(),
-		}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		telemetry.RecordSpan(traceID, span)
+		a.recordSpan(traceID, telemetry.OpMRQRun, start, err)
 	}
 	if observe {
 		telemetry.ObserveRoot(telemetry.RootOutcome{
@@ -250,71 +243,122 @@ func (a *Agent) RunWithStatus(ctx context.Context, sql string) (*sqlparse.Result
 	return res, status, err
 }
 
+// run is the one MRQ pipeline of Figure 7: locate every class's resources
+// and plan (mrq.plan), run the plan's rewrite, fetch and merge each class
+// not yet assembled (mrq.assemble, one goroutine per class), and evaluate
+// the statement locally. Config.Planner changes only what the plan
+// decides, never which of these steps run.
 func (a *Agent) run(ctx context.Context, sql string) (*sqlparse.Result, *Status, error) {
-	stmt, err := sqlparse.Parse(sql)
+	traceID := telemetry.TraceIDFrom(ctx)
+	qp, err := a.plan(ctx, sql, traceID)
 	if err != nil {
 		return nil, nil, err
 	}
-	classes := stmt.Tables()
-	if len(classes) == 0 {
-		return nil, nil, fmt.Errorf("mrq %s: query references no classes", a.cfg.Name)
-	}
-	var pushed *constraint.Set
-	if a.cfg.PushConstraints {
-		pushed = stmt.WhereConstraints()
-	}
-	if a.cfg.Planner {
-		return a.runPlanned(ctx, stmt, classes, pushed)
+	stmt, classes := qp.stmt, qp.classes
+	em := provenance.For(ctx, traceID)
+	a.emitPlan(em, qp, false)
+
+	if qp.agg != nil {
+		if res, ok := a.runAggregatePush(ctx, qp, traceID); ok {
+			return res, &Status{}, nil
+		}
+		mPlanFallbacks.Inc()
+		if em != nil {
+			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
+				Plan: &kqml.PlanDecision{Class: classes[0], Aggregates: qp.agg.Items(),
+					Fallback: "a partial-aggregate fetch failed; refetching full fragments"}})
+		}
 	}
 
-	// Assemble all referenced classes concurrently — one goroutine per
-	// class, first error wins and cancels the rest — then evaluate the
-	// original statement locally over the assembled tables. Tables and
-	// degradation notes land in index-addressed slices and attach in
-	// class order, so the scratch database and the status report are
-	// identical to a serial assembly's.
+	// Tables and degradation notes land in index-addressed slices and
+	// attach in class order, so the scratch database and the status report
+	// do not depend on which class finished first.
 	tables := make([]*relational.Table, len(classes))
 	notes := make([]*kqml.ClassDegradation, len(classes))
-	if len(classes) == 1 {
-		t, note, err := a.assembleClass(ctx, classes[0], stmt, pushed)
+	var probeExtra []sqlparse.Cond
+	probeIdx := -1
+	if sj := qp.sj; sj != nil {
+		buildClass, probeClass := classes[sj.buildIdx], classes[sj.probeIdx]
+		t, note, err := a.assembleLocated(ctx, buildClass, stmt, qp.byClass[sj.buildIdx].matches, nil, traceID)
 		if err != nil {
 			return nil, nil, err
 		}
-		tables[0], notes[0] = t, note
-	} else {
-		gctx, cancel := context.WithCancel(ctx)
-		var (
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		for i, class := range classes {
-			wg.Add(1)
-			go func(i int, class string) {
-				defer wg.Done()
-				t, note, err := a.assembleClass(gctx, class, stmt, pushed)
-				if err != nil {
-					once.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				tables[i], notes[i] = t, note
-			}(i, class)
+		tables[sj.buildIdx], notes[sj.buildIdx] = t, note
+		keys, reason := semiJoinKeys(t, sj.buildCol, a.semiJoinMaxKeys())
+		pd := &kqml.PlanDecision{Class: probeClass, Build: buildClass, Probe: probeClass, JoinColumn: sj.probeCol}
+		if reason != "" {
+			if strings.Contains(reason, "exceed") {
+				mPlanKeyOverflows.Inc()
+			}
+			mPlanFallbacks.Inc()
+			pd.Fallback = reason
+		} else {
+			probeExtra = []sqlparse.Cond{{Left: sqlparse.ColRef{Column: sj.probeCol}, In: true, InVals: keys}}
+			probeIdx = sj.probeIdx
+			pd.SemiJoin = true
+			pd.Keys = len(keys)
+			mPlanSemiJoins.Inc()
 		}
-		wg.Wait()
-		cancel()
-		if firstErr != nil {
-			return nil, nil, firstErr
+		if em != nil {
+			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name, Plan: pd})
 		}
+	}
+
+	var pending []int
+	for i := range classes {
+		if tables[i] == nil {
+			pending = append(pending, i)
+		}
+	}
+	err = forEachClass(ctx, len(pending), func(ctx context.Context, j int) error {
+		i := pending[j]
+		var extra []sqlparse.Cond
+		if i == probeIdx {
+			extra = probeExtra
+		}
+		t, note, err := a.assembleLocated(ctx, classes[i], stmt, qp.byClass[i].matches, extra, traceID)
+		tables[i], notes[i] = t, note
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return a.finish(stmt, tables, notes)
 }
 
+// forEachClass runs fn for classes 0..n-1, one goroutine per class, and
+// returns the first error, cancelling the context the others run under.
+// A single class runs inline.
+func forEachClass(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	if n == 1 {
+		return fn(ctx, 0)
+	}
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := fn(gctx, i); err != nil {
+				once.Do(func() {
+					firstErr = err
+					cancel()
+				})
+			}
+		}(i)
+	}
+	wg.Wait()
+	return firstErr
+}
+
 // finish attaches the assembled class tables to a scratch database, folds
 // the degradation notes into a status, and evaluates the original
-// statement locally — the shared tail of the planned and unplanned paths.
+// statement locally — the pipeline's last step.
 func (a *Agent) finish(stmt *sqlparse.Select, tables []*relational.Table, notes []*kqml.ClassDegradation) (*sqlparse.Result, *Status, error) {
 	scratch := relational.NewDatabase()
 	for _, table := range tables {
@@ -339,38 +383,6 @@ func (a *Agent) finish(stmt *sqlparse.Select, tables []*relational.Table, notes 
 	return res, status, nil
 }
 
-// assembleClass locates the resources for one class (the paper's Figure 7
-// broker query), fetches their fragments concurrently, and merges them
-// into one table. The degradation note is non-nil when fragment data was
-// lost with no covering replica (the table may then be incomplete, or —
-// when every resource failed — empty).
-func (a *Agent) assembleClass(ctx context.Context, class string, stmt *sqlparse.Select, pushed *constraint.Set) (*relational.Table, *kqml.ClassDegradation, error) {
-	if traceID := telemetry.TraceIDFrom(ctx); traceID != "" {
-		start := time.Now()
-		table, note, err := a.assembleClassInner(ctx, class, stmt, pushed, traceID)
-		span := kqml.TraceSpan{
-			Agent:          a.cfg.Name,
-			Op:             telemetry.OpMRQAssemble,
-			Start:          start.UnixNano(),
-			DurationMicros: time.Since(start).Microseconds(),
-		}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		telemetry.RecordSpan(traceID, span)
-		return table, note, err
-	}
-	return a.assembleClassInner(ctx, class, stmt, pushed, "")
-}
-
-func (a *Agent) assembleClassInner(ctx context.Context, class string, stmt *sqlparse.Select, pushed *constraint.Set, traceID string) (*relational.Table, *kqml.ClassDegradation, error) {
-	matches, err := a.locateClass(ctx, class, pushed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a.assembleFromMatches(ctx, class, stmt, matches, nil, traceID)
-}
-
 // locateClass runs the Figure 7 broker query for one class and returns the
 // matched resource advertisements, in broker match order.
 func (a *Agent) locateClass(ctx context.Context, class string, pushed *constraint.Set) ([]*ontology.Advertisement, error) {
@@ -393,37 +405,30 @@ func (a *Agent) locateClass(ctx context.Context, class string, pushed *constrain
 	return br.Matches, nil
 }
 
-// assembleLocated is assembleClass for pre-located matches: the planner
-// already ran the broker query (inside the mrq.plan span), so only the
-// fetch and merge run under the mrq.assemble span. extra conds (a
-// semi-join's IN constraint) are appended to every fragment query.
+// assembleLocated fetches and merges one class's fragments from its
+// located matches, under an mrq.assemble span on traced runs. extra conds
+// (a semi-join's IN constraint) are appended to every fragment query. The
+// degradation note is non-nil when fragment data was lost with no covering
+// replica (the table may then be incomplete, or — when every resource
+// failed — empty).
 func (a *Agent) assembleLocated(ctx context.Context, class string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond, traceID string) (*relational.Table, *kqml.ClassDegradation, error) {
 	if traceID == "" {
-		return a.assembleFromMatches(ctx, class, stmt, matches, extra, traceID)
+		return a.assemble(ctx, class, stmt, matches, extra, traceID)
 	}
 	start := time.Now()
-	table, note, err := a.assembleFromMatches(ctx, class, stmt, matches, extra, traceID)
-	span := kqml.TraceSpan{
-		Agent:          a.cfg.Name,
-		Op:             telemetry.OpMRQAssemble,
-		Start:          start.UnixNano(),
-		DurationMicros: time.Since(start).Microseconds(),
-	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	telemetry.RecordSpan(traceID, span)
+	table, note, err := a.assemble(ctx, class, stmt, matches, extra, traceID)
+	a.recordSpan(traceID, telemetry.OpMRQAssemble, start, err)
 	return table, note, err
 }
 
-// assembleFromMatches fetches and merges one class's fragments from an
-// already-located match set.
-func (a *Agent) assembleFromMatches(ctx context.Context, class string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond, traceID string) (*relational.Table, *kqml.ClassDegradation, error) {
-	key := ""
-	if ont := a.cfg.World.Ontology(a.cfg.Ontology); ont != nil {
-		key = ont.KeyOf(class)
-	}
-	results, lost := a.fetchFragments(ctx, class, key, stmt, matches, extra, traceID)
+func (a *Agent) assemble(ctx context.Context, class string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond, traceID string) (*relational.Table, *kqml.ClassDegradation, error) {
+	fp := a.planFetch(class, stmt, matches)
+	// extra conds come from the planner (a semi-join's IN constraint on
+	// the probe side); they are always sound to push — a row they filter
+	// could never survive the local join — so they bypass the uniform
+	// coverage check.
+	fp.conds = append(fp.conds, extra...)
+	results, lost := a.fetchFragments(ctx, &fp, matches, traceID)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("mrq %s: assembling class %s: %w", a.cfg.Name, class, err)
 	}
@@ -442,15 +447,30 @@ func (a *Agent) assembleFromMatches(ctx context.Context, class string, stmt *sql
 		// Degrade to an empty fragment table flagged per class rather
 		// than refuse the whole query — unless the ontology cannot even
 		// supply a schema, where a refusal is all that's left.
-		t, terr := a.emptyTable(class, key)
+		t, terr := a.emptyTable(class, fp.key)
 		if terr != nil {
 			return nil, nil, fmt.Errorf("mrq %s: every resource for class %s failed: %s",
 				a.cfg.Name, class, note.Reason)
 		}
 		return t, note, nil
 	}
-	t, err := MergeFragments(class, key, results)
+	t, err := MergeFragments(class, fp.key, results)
 	return t, note, err
+}
+
+// recordSpan records one of the MRQ's own timing spans, from start to
+// now, under a traced run.
+func (a *Agent) recordSpan(traceID, op string, start time.Time, err error) {
+	span := kqml.TraceSpan{
+		Agent:          a.cfg.Name,
+		Op:             op,
+		Start:          start.UnixNano(),
+		DurationMicros: time.Since(start).Microseconds(),
+	}
+	if err != nil {
+		span.Err = err.Error()
+	}
+	telemetry.RecordSpan(traceID, span)
 }
 
 // emptyTable builds an empty table for a class from its ontology schema

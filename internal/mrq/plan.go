@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"infosleuth/internal/constraint"
@@ -18,14 +16,17 @@ import (
 	"infosleuth/internal/telemetry/provenance"
 )
 
-// The federated query planner. Before fanning out, a planning MRQ builds a
-// queryPlan: every class's resources located and cost-ranked, plus at most
-// one structural rewrite — partial-aggregate pushdown for a single-class
+// The federated query planner. Every run builds a queryPlan before it
+// fetches anything: every class's resources located, then — when
+// Config.Planner is on — each match set cost-ranked and at most one
+// structural rewrite chosen: partial-aggregate pushdown for a single-class
 // aggregate query, or semi-join reduction for a cross-class equality join.
-// The plan is deterministic given fixed stats and advertisements, every
-// decision is emitted as prov.plan provenance, and every rewrite carries a
-// fallback to the PR 4 full-fragment path so a planning MRQ never answers
-// differently from a non-planning one — only cheaper.
+// With the planner off the plan keeps the broker's match order and chooses
+// no rewrite, and the same pipeline runs it. The plan is deterministic
+// given fixed stats and advertisements, every decision is emitted as
+// prov.plan provenance, and every rewrite falls back to fetching the full
+// fragments, so a planning MRQ never answers differently from a
+// non-planning one — only cheaper.
 
 // classPlan is one class's located, cost-ordered match set.
 type classPlan struct {
@@ -59,47 +60,45 @@ type queryPlan struct {
 	sjFallback string
 }
 
-// buildPlan locates every class's resources (concurrently, first error
-// cancels), cost-orders each match set, and chooses the structural
-// rewrite.
-func (a *Agent) buildPlan(ctx context.Context, stmt *sqlparse.Select, classes []string, pushed *constraint.Set) (*queryPlan, error) {
-	qp := &queryPlan{stmt: stmt, classes: classes, byClass: make([]classPlan, len(classes))}
-	for i, class := range classes {
-		qp.byClass[i].class = class
+// plan parses the statement and builds its plan, under an mrq.plan span
+// on traced runs.
+func (a *Agent) plan(ctx context.Context, sql, traceID string) (*queryPlan, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
 	}
-	if len(classes) == 1 {
-		m, err := a.locateClass(ctx, classes[0], pushed)
-		if err != nil {
-			return nil, err
-		}
-		qp.byClass[0].matches = m
-	} else {
-		gctx, cancel := context.WithCancel(ctx)
-		var (
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		for i, class := range classes {
-			wg.Add(1)
-			go func(i int, class string) {
-				defer wg.Done()
-				m, err := a.locateClass(gctx, class, pushed)
-				if err != nil {
-					once.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				qp.byClass[i].matches = m
-			}(i, class)
-		}
-		wg.Wait()
-		cancel()
-		if firstErr != nil {
-			return nil, firstErr
-		}
+	classes := stmt.Tables()
+	if len(classes) == 0 {
+		return nil, fmt.Errorf("mrq %s: query references no classes", a.cfg.Name)
+	}
+	if traceID == "" {
+		return a.buildPlan(ctx, stmt, classes)
+	}
+	start := time.Now()
+	qp, err := a.buildPlan(ctx, stmt, classes)
+	a.recordSpan(traceID, telemetry.OpMRQPlan, start, err)
+	return qp, err
+}
+
+// buildPlan locates every class's resources (concurrently, first error
+// cancels) and, when the planner is on, cost-orders each match set and
+// chooses the structural rewrite.
+func (a *Agent) buildPlan(ctx context.Context, stmt *sqlparse.Select, classes []string) (*queryPlan, error) {
+	var pushed *constraint.Set
+	if a.cfg.PushConstraints {
+		pushed = stmt.WhereConstraints()
+	}
+	qp := &queryPlan{stmt: stmt, classes: classes, byClass: make([]classPlan, len(classes))}
+	err := forEachClass(ctx, len(classes), func(ctx context.Context, i int) error {
+		m, err := a.locateClass(ctx, classes[i], pushed)
+		qp.byClass[i] = classPlan{class: classes[i], matches: m}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if !a.cfg.Planner {
+		return qp, nil
 	}
 	for i := range qp.byClass {
 		cp := &qp.byClass[i]
@@ -113,24 +112,47 @@ func (a *Agent) buildPlan(ctx context.Context, stmt *sqlparse.Select, classes []
 	return qp, nil
 }
 
-// buildPlanSpan wraps buildPlan in an mrq.plan span on traced runs.
-func (a *Agent) buildPlanSpan(ctx context.Context, stmt *sqlparse.Select, classes []string, pushed *constraint.Set, traceID string) (*queryPlan, error) {
-	if traceID == "" {
-		return a.buildPlan(ctx, stmt, classes, pushed)
+// emitPlan reports a built plan on a traced run: each class's fan-out
+// order, then the structural rewrite or why none was chosen. A run
+// reports only the orders the cost model changed and leaves each
+// rewrite's outcome to the step that executes it. With intent set (Plan,
+// which fetches nothing) it reports every class's pushdown shape and
+// order and the rewrite that would run — a semi-join with Keys 0, since
+// the key count is unknown until the build side is fetched.
+func (a *Agent) emitPlan(em *provenance.Emitter, qp *queryPlan, intent bool) {
+	if em == nil {
+		return
 	}
-	start := time.Now()
-	qp, err := a.buildPlan(ctx, stmt, classes, pushed)
-	span := kqml.TraceSpan{
-		Agent:          a.cfg.Name,
-		Op:             telemetry.OpMRQPlan,
-		Start:          start.UnixNano(),
-		DurationMicros: time.Since(start).Microseconds(),
+	for i := range qp.byClass {
+		cp := &qp.byClass[i]
+		if intent {
+			fp := a.planFetch(cp.class, qp.stmt, cp.matches)
+			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name, Pushdown: a.pushdownDecision(&fp)})
+		}
+		if intent || cp.costs != nil {
+			pd := &kqml.PlanDecision{Class: cp.class, CostsMicros: cp.costs}
+			for _, ad := range cp.matches {
+				pd.Order = append(pd.Order, ad.Name)
+			}
+			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name, Plan: pd})
+		}
 	}
-	if err != nil {
-		span.Err = err.Error()
+	var pd *kqml.PlanDecision
+	switch {
+	case qp.agg != nil && intent:
+		pd = &kqml.PlanDecision{Class: qp.classes[0], Aggregates: qp.agg.Items()}
+	case qp.aggFallback != "":
+		pd = &kqml.PlanDecision{Class: qp.classes[0], Fallback: qp.aggFallback}
+	case qp.sj != nil && intent:
+		sj := qp.sj
+		pd = &kqml.PlanDecision{Class: qp.classes[sj.probeIdx], SemiJoin: true,
+			Build: qp.classes[sj.buildIdx], Probe: qp.classes[sj.probeIdx], JoinColumn: sj.probeCol}
+	case qp.sjFallback != "":
+		pd = &kqml.PlanDecision{Class: strings.Join(qp.classes, "+"), Fallback: qp.sjFallback}
 	}
-	telemetry.RecordSpan(traceID, span)
-	return qp, err
+	if pd != nil {
+		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name, Plan: pd})
+	}
 }
 
 // planAggregate decides partial-aggregate pushdown for a single-class
@@ -148,12 +170,7 @@ func (a *Agent) planAggregate(stmt *sqlparse.Select, class string, matches []*on
 	if !ok {
 		return nil, "statement shape not decomposable"
 	}
-	ont := a.cfg.World.Ontology(a.cfg.Ontology)
-	key := ""
-	if ont != nil {
-		key = ont.KeyOf(class)
-	}
-	fp := a.planFetch(class, key, stmt, matches)
+	fp := a.planFetch(class, stmt, matches)
 	if len(fp.conds) != len(stmt.Where) {
 		return nil, "not every WHERE conjunct is pushable"
 	}
@@ -162,14 +179,14 @@ func (a *Agent) planAggregate(stmt *sqlparse.Select, class string, matches []*on
 		if !h.Satisfies(ad.Capabilities, ontology.CapAggregation) {
 			return nil, fmt.Sprintf("%s cannot aggregate", ad.Name)
 		}
-		if !ad.CoversColumns(a.cfg.Ontology, class, p.Columns(), ont) {
+		if !ad.CoversColumns(a.cfg.Ontology, class, p.Columns(), fp.ont) {
 			return nil, fmt.Sprintf("%s does not cover the aggregated columns", ad.Name)
 		}
 	}
 	if len(matches) > 1 {
 		frags := make([][]*ontology.Fragment, len(matches))
 		for i, ad := range matches {
-			frags[i] = servingFragments(ad, a.cfg.Ontology, class, ont)
+			frags[i] = fp.servingFragments(ad)
 		}
 		for i := range matches {
 			for j := i + 1; j < len(matches); j++ {
@@ -301,138 +318,6 @@ func (a *Agent) classBytes(class string, matches []*ontology.Advertisement) (flo
 	return total, true
 }
 
-// runPlanned executes one query through the planner: build the plan, run
-// the aggregate or semi-join rewrite when one was chosen (falling back to
-// the normal assembly when a rewrite dies at execution time), assemble
-// the remaining classes concurrently in cost order, and evaluate locally.
-func (a *Agent) runPlanned(ctx context.Context, stmt *sqlparse.Select, classes []string, pushed *constraint.Set) (*sqlparse.Result, *Status, error) {
-	traceID := telemetry.TraceIDFrom(ctx)
-	qp, err := a.buildPlanSpan(ctx, stmt, classes, pushed, traceID)
-	if err != nil {
-		return nil, nil, err
-	}
-	em := provenance.For(ctx, traceID)
-	if em != nil {
-		for i := range qp.byClass {
-			cp := &qp.byClass[i]
-			if cp.costs == nil {
-				continue
-			}
-			pd := &kqml.PlanDecision{Class: cp.class, CostsMicros: cp.costs}
-			for _, ad := range cp.matches {
-				pd.Order = append(pd.Order, ad.Name)
-			}
-			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name, Plan: pd})
-		}
-	}
-
-	if qp.agg != nil {
-		if res, status, ok := a.runAggregatePush(ctx, qp, traceID); ok {
-			return res, status, nil
-		}
-		mPlanFallbacks.Inc()
-		if em != nil {
-			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-				Plan: &kqml.PlanDecision{Class: classes[0], Aggregates: qp.agg.Items(),
-					Fallback: "a partial-aggregate fetch failed; refetching full fragments"}})
-		}
-	} else if qp.aggFallback != "" && em != nil {
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: classes[0], Fallback: qp.aggFallback}})
-	}
-
-	tables := make([]*relational.Table, len(classes))
-	notes := make([]*kqml.ClassDegradation, len(classes))
-	var probeExtra []sqlparse.Cond
-	probeIdx := -1
-
-	if qp.sj != nil {
-		sj := qp.sj
-		buildClass, probeClass := classes[sj.buildIdx], classes[sj.probeIdx]
-		t, note, err := a.assembleLocated(ctx, buildClass, stmt, qp.byClass[sj.buildIdx].matches, nil, traceID)
-		if err != nil {
-			return nil, nil, err
-		}
-		tables[sj.buildIdx], notes[sj.buildIdx] = t, note
-		keys, reason := semiJoinKeys(t, sj.buildCol, a.semiJoinMaxKeys())
-		pd := &kqml.PlanDecision{Class: probeClass, Build: buildClass, Probe: probeClass, JoinColumn: sj.probeCol}
-		if reason != "" {
-			if strings.Contains(reason, "exceed") {
-				mPlanKeyOverflows.Inc()
-			}
-			mPlanFallbacks.Inc()
-			pd.Fallback = reason
-		} else {
-			probeExtra = []sqlparse.Cond{{
-				Left:   sqlparse.ColRef{Column: sj.probeCol},
-				In:     true,
-				InVals: keys,
-			}}
-			probeIdx = sj.probeIdx
-			pd.SemiJoin = true
-			pd.Keys = len(keys)
-			mPlanSemiJoins.Inc()
-		}
-		if em != nil {
-			em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name, Plan: pd})
-		}
-	} else if qp.sjFallback != "" && em != nil {
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: strings.Join(classes, "+"), Fallback: qp.sjFallback}})
-	}
-
-	// Assemble everything not already assembled, concurrently (the build
-	// side of a semi-join is already in place).
-	var pending []int
-	for i := range classes {
-		if tables[i] == nil {
-			pending = append(pending, i)
-		}
-	}
-	extraFor := func(i int) []sqlparse.Cond {
-		if i == probeIdx {
-			return probeExtra
-		}
-		return nil
-	}
-	if len(pending) == 1 {
-		i := pending[0]
-		t, note, err := a.assembleLocated(ctx, classes[i], stmt, qp.byClass[i].matches, extraFor(i), traceID)
-		if err != nil {
-			return nil, nil, err
-		}
-		tables[i], notes[i] = t, note
-	} else if len(pending) > 1 {
-		gctx, cancel := context.WithCancel(ctx)
-		var (
-			wg       sync.WaitGroup
-			once     sync.Once
-			firstErr error
-		)
-		for _, i := range pending {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				t, note, err := a.assembleLocated(gctx, classes[i], stmt, qp.byClass[i].matches, extraFor(i), traceID)
-				if err != nil {
-					once.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				tables[i], notes[i] = t, note
-			}(i)
-		}
-		wg.Wait()
-		cancel()
-		if firstErr != nil {
-			return nil, nil, firstErr
-		}
-	}
-	return a.finish(stmt, tables, notes)
-}
-
 // semiJoinMaxKeys resolves the configured key cap.
 func (a *Agent) semiJoinMaxKeys() int {
 	if a.cfg.SemiJoinMaxKeys > 0 {
@@ -443,8 +328,8 @@ func (a *Agent) semiJoinMaxKeys() int {
 
 // semiJoinKeys extracts the sorted distinct values of the build table's
 // join column, or a fallback reason: column missing, key set over the cap,
-// no keys at all, or a value the SQL subset cannot render (exponent-form
-// numbers, strings with embedded quotes).
+// no keys at all, or a value the SQL subset cannot render (a string with
+// both quote characters).
 func semiJoinKeys(t *relational.Table, col string, maxKeys int) ([]constraint.Value, string) {
 	ci := t.Schema().ColIndex(col)
 	if ci < 0 {
@@ -482,254 +367,79 @@ func semiJoinKeys(t *relational.Table, col string, maxKeys int) ([]constraint.Va
 }
 
 // renderableKey reports whether a value survives a round trip through the
-// SQL subset's lexer when rendered into an IN list: strings must carry no
-// embedded quote (the lexer has no escaping) and numbers must render in
-// plain digit form (the lexer reads no exponents).
+// SQL subset's lexer when rendered into an IN list: the lexer has no
+// escaping, so a string may hold one kind of quote but not both.
 func renderableKey(v constraint.Value) bool {
-	s := v.String()
-	if v.Kind() == constraint.KindString {
-		return strings.Count(s, "'") == 2
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c >= '0' && c <= '9') || c == '.' || (c == '-' && i == 0) {
-			continue
-		}
-		return false
-	}
-	return true
+	return v.Kind() != constraint.KindString || !strings.Contains(v.Text(), "'") || !strings.Contains(v.Text(), `"`)
 }
 
 // runAggregatePush fans the partial-aggregate query out to every fragment
 // and merges the partials at the MRQ. A resource that rejects the rewritten
-// query (no aggregation capability) is refetched as SELECT * and its
-// partial computed locally; a transport failure aborts the whole push
-// (ok=false) and the caller falls back to the normal full-fragment
-// assembly, which has the failover machinery.
-func (a *Agent) runAggregatePush(ctx context.Context, qp *queryPlan, traceID string) (*sqlparse.Result, *Status, bool) {
-	class := qp.classes[0]
+// query (no aggregation capability) is refetched whole and its partial
+// computed here; any other failed fetch abandons the push (ok=false) and
+// the caller assembles the class in full, which has the failover
+// machinery.
+func (a *Agent) runAggregatePush(ctx context.Context, qp *queryPlan, traceID string) (*sqlparse.Result, bool) {
 	cp := &qp.byClass[0]
-	key := ""
-	if ont := a.cfg.World.Ontology(a.cfg.Ontology); ont != nil {
-		key = ont.KeyOf(class)
-	}
-	fp := a.planFetch(class, key, qp.stmt, cp.matches)
-	sql := qp.agg.FragmentSQL(class, fp.conds)
-
-	n := len(cp.matches)
-	fanout := a.cfg.MaxFanout
-	if fanout <= 0 {
-		fanout = defaultMaxFanout
-	}
-	if fanout > n {
-		fanout = n
-	}
-	partials := make([]*sqlparse.Result, n)
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < fanout; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx.Err() != nil || failed.Load() {
-					failed.Store(true)
-					return
-				}
-				pr, err := a.fetchPartial(ctx, class, key, sql, fp.conds, qp.agg, cp.matches[i], traceID)
-				if err != nil {
-					failed.Store(true)
-					return
-				}
-				partials[i] = pr
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() || ctx.Err() != nil {
-		return nil, nil, false
+	fp := a.planFetch(cp.class, qp.stmt, cp.matches)
+	sql := qp.agg.FragmentSQL(cp.class, fp.conds)
+	partials := make([]*sqlparse.Result, len(cp.matches))
+	errs := a.gather(ctx, len(cp.matches), func(i int) error {
+		sr, _, fallback, err := a.fetch(ctx, cp.class, sql, true, cp.matches[i], traceID)
+		if err != nil {
+			return err
+		}
+		if !fallback {
+			partials[i] = &sqlparse.Result{Columns: sr.Columns, Rows: sr.Rows}
+			return nil
+		}
+		t, err := MergeFragments(cp.class, fp.key, []*kqml.SQLResult{sr})
+		if err != nil {
+			return err
+		}
+		db := relational.NewDatabase()
+		if err := db.Attach(t); err != nil {
+			return err
+		}
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			return err
+		}
+		partials[i], err = sqlparse.Execute(db, stmt)
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, false
+		}
 	}
 	merged, err := qp.agg.Merge(partials)
 	if err != nil {
-		return nil, nil, false
+		return nil, false
 	}
 	if qp.stmt.OrderBy != "" {
 		if err := merged.Sort(qp.stmt.OrderBy, qp.stmt.OrderDesc); err != nil {
-			return nil, nil, false
+			return nil, false
 		}
 	}
 	mPlanAggPushdowns.Inc()
 	if em := provenance.For(ctx, traceID); em != nil {
 		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: class, Aggregates: qp.agg.Items()}})
+			Plan: &kqml.PlanDecision{Class: cp.class, Aggregates: qp.agg.Items()}})
 	}
-	return merged, &Status{}, true
-}
-
-// fetchPartial fetches one fragment's partial aggregates, with the
-// SELECT-* fallback computed locally when the resource rejects the
-// rewritten query.
-func (a *Agent) fetchPartial(ctx context.Context, class, key, sql string, conds []sqlparse.Cond, plan *sqlparse.PartialAggPlan, ad *ontology.Advertisement, traceID string) (*sqlparse.Result, error) {
-	mFanoutInflight.Add(1)
-	mFetchTotal.Inc()
-	defer mFanoutInflight.Add(-1)
-	spanStart := time.Now()
-	pr, err := a.fetchPartialCall(ctx, class, key, sql, conds, plan, ad, traceID)
-	if traceID != "" {
-		span := kqml.TraceSpan{
-			Agent:          a.cfg.Name,
-			Op:             telemetry.OpMRQFetch,
-			Start:          spanStart.UnixNano(),
-			DurationMicros: time.Since(spanStart).Microseconds(),
-		}
-		if err != nil {
-			span.Err = err.Error()
-			mFetchErrors.Inc()
-		}
-		telemetry.RecordSpan(traceID, span)
-	} else if err != nil {
-		mFetchErrors.Inc()
-	}
-	return pr, err
-}
-
-func (a *Agent) fetchPartialCall(ctx context.Context, class, key, sql string, conds []sqlparse.Cond, plan *sqlparse.PartialAggPlan, ad *ontology.Advertisement, traceID string) (*sqlparse.Result, error) {
-	start := time.Now()
-	fallback := false
-	reply, err := a.ask(ctx, ad, sql, traceID)
-	if err == nil && reply.Performative != kqml.Tell {
-		// The resource rejected the partial-aggregate query — it cannot
-		// aggregate after all. Fetch the raw fragment and fold it down
-		// here instead of losing the push for everyone else.
-		mPushdownFallbacks.Inc()
-		fallback = true
-		reply, err = a.ask(ctx, ad, "SELECT * FROM "+class, traceID)
-	}
-	received := int64(0)
-	if err == nil && reply != nil {
-		received = int64(len(reply.Content))
-	}
-	latency := time.Since(start)
-	statsQueries := a.plannerStats()
-	statsQueries.Observe(ad.Name, class, latency, received, err != nil)
-	if em := provenance.For(ctx, traceID); em != nil {
-		fr := &kqml.FetchReport{
-			Resource:      ad.Name,
-			Class:         class,
-			SQL:           sql,
-			Pushed:        !fallback,
-			Fallback:      fallback,
-			Bytes:         received,
-			LatencyMicros: latency.Microseconds(),
-		}
-		if err != nil {
-			fr.Err = err.Error()
-		} else if reply != nil && reply.Performative != kqml.Tell {
-			fr.Err = kqml.ReasonOf(reply)
-		}
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvFetch, Agent: a.cfg.Name, Fetch: fr})
-	}
-	if err != nil {
-		return nil, err
-	}
-	provenance.CollectReply(ctx, reply)
-	if reply.Performative != kqml.Tell {
-		return nil, fmt.Errorf("%s", kqml.ReasonOf(reply))
-	}
-	var sr kqml.SQLResult
-	if err := reply.DecodeContent(&sr); err != nil {
-		return nil, err
-	}
-	mFetchBytes.Add(received)
-	if !fallback {
-		return &sqlparse.Result{Columns: sr.Columns, Rows: sr.Rows}, nil
-	}
-	// Compute the partial locally over the raw fragment.
-	t, err := MergeFragments(class, key, []*kqml.SQLResult{&sr})
-	if err != nil {
-		return nil, err
-	}
-	db := relational.NewDatabase()
-	if err := db.Attach(t); err != nil {
-		return nil, err
-	}
-	partialStmt, err := sqlparse.Parse(plan.FragmentSQL(class, conds))
-	if err != nil {
-		return nil, err
-	}
-	return sqlparse.Execute(db, partialStmt)
+	return merged, true
 }
 
 // Plan builds and reports the federated plan for a query without fetching
 // any fragments: broker discovery runs (the plan depends on the match
 // sets), then the chosen fan-out order, pushdown shape, and rewrites are
-// emitted as provenance for `isquery -plan`. Semi-join key counts are
-// unknown without executing, so the decision reports the rewrite with
-// Keys 0.
+// emitted as provenance for `isquery -plan`.
 func (a *Agent) Plan(ctx context.Context, sql string) error {
 	traceID := telemetry.TraceIDFrom(ctx)
-	stmt, err := sqlparse.Parse(sql)
+	qp, err := a.plan(ctx, sql, traceID)
 	if err != nil {
 		return err
 	}
-	classes := stmt.Tables()
-	if len(classes) == 0 {
-		return fmt.Errorf("mrq %s: query references no classes", a.cfg.Name)
-	}
-	var pushed *constraint.Set
-	if a.cfg.PushConstraints {
-		pushed = stmt.WhereConstraints()
-	}
-	qp, err := a.buildPlanSpan(ctx, stmt, classes, pushed, traceID)
-	if err != nil {
-		return err
-	}
-	em := provenance.For(ctx, traceID)
-	if em == nil {
-		return nil
-	}
-	ont := a.cfg.World.Ontology(a.cfg.Ontology)
-	for i, class := range classes {
-		cp := &qp.byClass[i]
-		key := ""
-		if ont != nil {
-			key = ont.KeyOf(class)
-		}
-		fp := a.planFetch(class, key, stmt, cp.matches)
-		pushPD := &kqml.PushdownDecision{Class: class, Blocked: fp.blocked, Columns: fp.cols}
-		for _, c := range fp.conds {
-			pushPD.Pushed = append(pushPD.Pushed, c.String())
-		}
-		if !a.cfg.PushConstraints {
-			pushPD.Fallback = "constraint pushdown disabled"
-		}
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name, Pushdown: pushPD})
-		pd := &kqml.PlanDecision{Class: class, CostsMicros: cp.costs}
-		for _, ad := range cp.matches {
-			pd.Order = append(pd.Order, ad.Name)
-		}
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name, Plan: pd})
-	}
-	switch {
-	case qp.agg != nil:
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: classes[0], Aggregates: qp.agg.Items()}})
-	case qp.aggFallback != "":
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: classes[0], Fallback: qp.aggFallback}})
-	case qp.sj != nil:
-		sj := qp.sj
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: classes[sj.probeIdx], SemiJoin: true,
-				Build: classes[sj.buildIdx], Probe: classes[sj.probeIdx], JoinColumn: sj.probeCol}})
-	case qp.sjFallback != "":
-		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
-			Plan: &kqml.PlanDecision{Class: strings.Join(classes, "+"), Fallback: qp.sjFallback}})
-	}
+	a.emitPlan(provenance.For(ctx, traceID), qp, true)
 	return nil
 }

@@ -266,6 +266,60 @@ func TestPlanReportsWithoutFetching(t *testing.T) {
 	}
 }
 
+// TestFetchesFeedPlannerStats: the stats a planner ranks against are the
+// stats its own fetches feed — an injected source, not the process-wide
+// aggregator behind its back.
+func TestFetchesFeedPlannerStats(t *testing.T) {
+	r := newPlanRig(t, 0)
+	r.addTableResource(t, "RA-feed", "C2", []relational.Row{genRow("k1", 1, 2, 3, 4)}, "", nil)
+	global, _ := stats.Queries.Peek("RA-feed", "C2")
+	if _, err := r.planned.Run(context.Background(), "SELECT id FROM C2"); err != nil {
+		t.Fatal(err)
+	}
+	if pcs, ok := r.planned.cfg.PlannerStats.Peek("RA-feed", "C2"); !ok || pcs.Count != 1 {
+		t.Errorf("injected planner stats for RA-feed/C2 = %+v (found %v), want one fetch", pcs, ok)
+	}
+	if after, _ := stats.Queries.Peek("RA-feed", "C2"); after.Count != global.Count {
+		t.Errorf("process-wide stats for RA-feed/C2 moved %d -> %d; the fetch belongs to the injected source", global.Count, after.Count)
+	}
+}
+
+// TestPushedExponentConstraintNeedsNoFallback: a constraint whose literal
+// renders in exponent form (0.00001 -> 1e-05) is pushed to every fragment
+// and read back by the resources, with no SELECT * refetch and the same
+// rows as an MRQ that pushes nothing.
+func TestPushedExponentConstraintNeedsNoFallback(t *testing.T) {
+	r := newPlanRig(t, 0)
+	r.addTableResource(t, "RA-exp-1", "C2", []relational.Row{
+		genRow("e1", 0.000001, 0, 0, 0), genRow("e2", 0.5, 0, 0, 0),
+	}, "", nil)
+	r.addTableResource(t, "RA-exp-2", "C2", []relational.Row{
+		genRow("e3", 0.00002, 0, 0, 0), genRow("e4", 0, 0, 0, 0),
+	}, "", nil)
+	noPush := r.addMRQ(t, "MRQ-nopush", 0, false)
+	const sql = "SELECT id, a FROM C2 WHERE a > 0.00001 ORDER BY id"
+	want, err := noPush.Run(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 2 {
+		t.Fatalf("unpushed answer has %d rows, want e2 and e3:\n%s", want.Len(), want)
+	}
+	for _, m := range []*Agent{r.mrq, r.planned} {
+		before := SnapshotFetchStats()
+		got, err := m.Run(context.Background(), sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fb := SnapshotFetchStats().Fallbacks - before.Fallbacks; fb != 0 {
+			t.Errorf("%s: %d pushdown fallbacks, want 0", m.cfg.Name, fb)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s answered\n%s\nwant\n%s", m.cfg.Name, got, want)
+		}
+	}
+}
+
 func TestOrderMatchesPrefersObservedCheaperPeer(t *testing.T) {
 	qs := stats.NewQueryStats()
 	a := newBareAgent(t, qs)

@@ -23,6 +23,7 @@ import (
 //	tabref  := ident [ ident ]           -- optional alias
 //	operand := colref | literal
 //	literal := number | 'string'
+//	number  := [ "-" ] digits [ "." digits ] [ ( "e" | "E" ) [ "+" | "-" ] digits ]
 //
 // ORDER BY applies to the whole (possibly UNIONed) statement and may only
 // appear at the end.
@@ -130,6 +131,19 @@ func sqlLex(s string) []sqlToken {
 			j := i + 1
 			for j < len(s) && (unicode.IsDigit(rune(s[j])) || s[j] == '.') {
 				j++
+			}
+			// An exponent as constraint.Value.String writes one (1e-05,
+			// 1e+15); an e with no digits after it is left to lex as an
+			// identifier.
+			if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
+				k := j + 1
+				if k < len(s) && (s[k] == '+' || s[k] == '-') {
+					k++
+				}
+				for k < len(s) && unicode.IsDigit(rune(s[k])) {
+					k++
+					j = k
+				}
 			}
 			toks = append(toks, sqlToken{sqlNumber, s[i:j]})
 			i = j

@@ -350,3 +350,30 @@ func TestThreeWayJoin(t *testing.T) {
 		t.Errorf("three-way join = %v", res.Rows)
 	}
 }
+
+// TestNumberExponents: the lexer reads the exponent form that
+// constraint.Value.String writes for small and large numbers, so a
+// rendered condition parses back to the same value; an e with no digits
+// after it is not part of the number.
+func TestNumberExponents(t *testing.T) {
+	for _, v := range []float64{0.00001, 1e15, -2.5e-7, 1.5e300} {
+		cond := Cond{Left: ColRef{Column: "a"}, Op: OpGt, RightVal: constraint.Num(v)}
+		stmt, err := Parse("SELECT id FROM t WHERE " + cond.String())
+		if err != nil {
+			t.Fatalf("%s: %v", cond, err)
+		}
+		if got := stmt.Where[0].RightVal.Number(); got != v {
+			t.Errorf("%s parsed to %v, want %v", cond, got, v)
+		}
+	}
+	if _, err := Parse("SELECT id FROM t WHERE a = 1e"); err == nil {
+		t.Error("a bare trailing e was read as part of the number")
+	}
+	stmt, err := Parse("SELECT id FROM t WHERE a = 2E+3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stmt.Where[0].RightVal.Number(); got != 2000 {
+		t.Errorf("2E+3 parsed to %v, want 2000", got)
+	}
+}

@@ -21,10 +21,11 @@ const (
 	OpQueryBrokers = "query.brokers"
 	// OpMRQRun is one end-to-end multiresource query in an MRQ agent.
 	OpMRQRun = "mrq.run"
-	// OpMRQPlan is the federated planner building a query plan before
-	// fan-out (cost ranking, semi-join and aggregate-pushdown decisions).
+	// OpMRQPlan is an MRQ run building its query plan before fan-out:
+	// the broker searches for every class, then the planner's decisions
+	// (cost ranking, semi-join and aggregate pushdown) when it is on.
 	OpMRQPlan = "mrq.plan"
-	// OpMRQAssemble is one class's resource discovery + fragment fetch.
+	// OpMRQAssemble is one class's fragment fetch and merge.
 	OpMRQAssemble = "mrq.assemble"
 	// OpMRQFetch is one fragment fetch against one resource agent inside
 	// an MRQ fan-out; the spans under an mrq.assemble show its shape.
