@@ -79,9 +79,14 @@ type genSource struct {
 }
 
 // genLayout splits one class's rows over resources and describes the
-// split for failure messages.
-func genLayout(r *rand.Rand, class string, rows []relational.Row) ([]genSource, string) {
-	switch r.Intn(4) {
+// split for failure messages. A keyless class has no key to join vertical
+// fragments on, so it draws a horizontal layout in their place.
+func genLayout(r *rand.Rand, class string, rows []relational.Row, keyless bool) ([]genSource, string) {
+	shape := r.Intn(4)
+	if keyless && shape == 1 {
+		shape = 2
+	}
+	switch shape {
 	case 0:
 		return []genSource{{rows: rows}}, "one source"
 	case 1:
@@ -180,19 +185,20 @@ func genQueries(r *rand.Rand, tables map[string][]relational.Row) []string {
 	return append(out, q)
 }
 
-// TestGeneratedQueriesMatchOneTable runs 200 seeded scenarios. Each
-// starts a broker, the resources of two generated class layouts and one
-// MRQ per leg over transport.InProc, then asks every generated query
-// through every leg and compares the answer with sqlparse.Execute over one
-// database holding the unfragmented tables.
+// TestGeneratedQueriesMatchOneTable runs 200 seeded scenarios, then 40
+// more whose classes have no key, so the MRQ's merge can tell replica rows
+// apart only by their values. Each starts a broker, the resources of two
+// generated class layouts and one MRQ per leg over transport.InProc, then
+// asks every generated query through every leg and compares the answer
+// with sqlparse.Execute over one database holding the unfragmented tables.
 func TestGeneratedQueriesMatchOneTable(t *testing.T) {
-	scenarios := 200
+	scenarios, keyless := 200, 40
 	if testing.Short() {
-		scenarios = 40
+		scenarios, keyless = 40, 8
 	}
 	plans, fetches := SnapshotPlanStats(), SnapshotFetchStats()
-	for seed := int64(1); seed <= int64(scenarios); seed++ {
-		runGeneratedScenario(t, seed)
+	for seed := int64(1); seed <= int64(scenarios+keyless); seed++ {
+		runGeneratedScenario(t, seed, seed > int64(scenarios))
 		if t.Failed() {
 			return
 		}
@@ -207,11 +213,18 @@ func TestGeneratedQueriesMatchOneTable(t *testing.T) {
 	}
 }
 
-func runGeneratedScenario(t *testing.T, seed int64) {
+func runGeneratedScenario(t *testing.T, seed int64, keyless bool) {
 	r := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
 	tr := transport.NewInProc()
-	world := ontology.NewWorld(ontology.Generic())
+	ont := ontology.Generic()
+	if keyless {
+		ont = ontology.New("generic")
+		for _, class := range []string{"C1", "C2"} {
+			ont.MustAddClass(ontology.Class{Name: class, Slots: []string{"id", "a", "b", "c", "d"}})
+		}
+	}
+	world := ontology.NewWorld(ont)
 	b, err := broker.New(broker.Config{Name: fmt.Sprintf("Broker-g%d", seed), Transport: tr, World: world})
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +237,9 @@ func runGeneratedScenario(t *testing.T, seed int64) {
 	oracle := relational.NewDatabase()
 	tables := map[string][]relational.Row{}
 	var layout []string
+	if keyless {
+		layout = append(layout, "keyless")
+	}
 	for _, class := range []string{"C1", "C2"} {
 		rows := genRows(r)
 		tables[class] = rows
@@ -231,7 +247,7 @@ func runGeneratedScenario(t *testing.T, seed int64) {
 		for _, row := range rows {
 			tbl.MustInsert(row)
 		}
-		srcs, desc := genLayout(r, class, rows)
+		srcs, desc := genLayout(r, class, rows, keyless)
 		layout = append(layout, class+": "+desc)
 		for i, src := range srcs {
 			ra := startGenSource(t, tr, b.Addr(), fmt.Sprintf("g%d-%s-%d", seed, class, i), class, src)

@@ -9,6 +9,7 @@ package mrq
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -493,16 +494,20 @@ func (a *Agent) emptyTable(class, key string) (*relational.Table, error) {
 }
 
 // MergeFragments combines per-resource results for one class into a single
-// table. Results with identical column sets are unioned with duplicate
-// elimination (horizontal fragments and replicas); results with different
-// column sets are joined on the class key (vertical fragments). Rows whose
-// key appears in only some vertical fragments keep the columns they have;
-// missing cells take the column's zero value.
+// table, in one loop for every layout. Results group by column signature:
+// one group is a horizontal union (horizontal fragments and replicas), and
+// groups with different column sets are vertical fragments, joined on the
+// class key. Each group's rows sort by the class key, then by value, and a
+// row that repeats its predecessor's key (all of its values when the class
+// has no key) is skipped, so among replicas that disagree on a key the
+// least row by value is kept. Rows whose key appears in only some vertical
+// fragments keep the columns they have; missing cells take the column's
+// zero value.
 //
-// The output is deterministic regardless of result order: column-signature
-// groups merge in sorted-signature order and rows sort by the class key
-// (full row contents when the class has no key), so a parallel gather
-// whose fragments arrive in any order builds the same table.
+// The output is deterministic regardless of result order: groups merge in
+// sorted-signature order and the table's rows sort by the class key (full
+// row contents when the class has no key), so a parallel gather whose
+// fragments arrive in any order builds the same table.
 func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.Table, error) {
 	if len(results) == 0 {
 		return nil, fmt.Errorf("mrq: no fragments for class %s", class)
@@ -512,14 +517,19 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 		sig  string
 		cols []string
 		rows []relational.Row
+		ki   int   // the key's index in cols, or -1
+		dst  []int // each column's index in the output row
 	}
 	totalRows := 0
-	for _, r := range results {
-		totalRows += len(r.Rows)
-	}
 	var groups []*group
 	bySig := make(map[string]*group, len(results))
 	for _, r := range results {
+		for _, row := range r.Rows {
+			if len(row) != len(r.Columns) {
+				return nil, fmt.Errorf("mrq: fragment of %s has a row of %d values for %d columns", class, len(row), len(r.Columns))
+			}
+		}
+		totalRows += len(r.Rows)
 		sig := strings.ToLower(strings.Join(r.Columns, "\x00"))
 		g, ok := bySig[sig]
 		if !ok {
@@ -531,22 +541,6 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 	}
 	sort.Slice(groups, func(i, j int) bool { return groups[i].sig < groups[j].sig })
 
-	// Deduplicate within each group (horizontal union semantics), reusing
-	// one builder for the row keys.
-	var kb strings.Builder
-	for _, g := range groups {
-		seen := make(map[string]bool, len(g.rows))
-		dedup := g.rows[:0]
-		for _, row := range g.rows {
-			k := rowKey(&kb, row)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, row)
-			}
-		}
-		g.rows = dedup
-	}
-
 	if len(groups) > 1 && key == "" {
 		return nil, fmt.Errorf("mrq: class %s has vertical fragments but no key to join on", class)
 	}
@@ -554,11 +548,11 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 	// Output columns: key first (when joining), then the rest in
 	// first-seen order.
 	var outCols []string
-	seenCol := make(map[string]bool)
+	colIdx := make(map[string]int)
 	addCol := func(c string) {
 		lc := strings.ToLower(c)
-		if !seenCol[lc] {
-			seenCol[lc] = true
+		if _, ok := colIdx[lc]; !ok {
+			colIdx[lc] = len(outCols)
 			outCols = append(outCols, c)
 		}
 	}
@@ -570,121 +564,101 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 			addCol(c)
 		}
 	}
+	keyIdx, keyed := colIdx[strings.ToLower(key)]
+	if !keyed {
+		keyIdx = -1
+	}
 
-	// Infer column types from the data; default string.
-	colType := make(map[string]relational.ColType, len(outCols))
-	for _, c := range outCols {
-		colType[strings.ToLower(c)] = relational.TypeString
+	// Sort each group by key, then by value, and infer column types: a
+	// number in any group's first row makes its column numeric.
+	schemaCols := make([]relational.Column, len(outCols))
+	for i, c := range outCols {
+		schemaCols[i] = relational.Column{Name: c, Type: relational.TypeString}
 	}
 	for _, g := range groups {
+		g.ki = -1
+		g.dst = make([]int, len(g.cols))
 		for ci, c := range g.cols {
-			lc := strings.ToLower(c)
-			for _, row := range g.rows {
-				if ci < len(row) {
-					if row[ci].Kind() == constraint.KindNumber {
-						colType[lc] = relational.TypeNumber
-					}
-					break
+			g.dst[ci] = colIdx[strings.ToLower(c)]
+			if g.dst[ci] == keyIdx {
+				g.ki = ci
+			}
+		}
+		if len(groups) > 1 && g.ki < 0 {
+			return nil, fmt.Errorf("mrq: vertical fragment of %s lacks key column %s", class, key)
+		}
+		slices.SortFunc(g.rows, func(a, b relational.Row) int { return compareRows(a, b, g.ki) })
+		if len(g.rows) > 0 {
+			for ci, v := range g.rows[0] {
+				if v.Kind() == constraint.KindNumber {
+					schemaCols[g.dst[ci]].Type = relational.TypeNumber
 				}
 			}
 		}
 	}
-
-	schemaCols := make([]relational.Column, len(outCols))
-	for i, c := range outCols {
-		schemaCols[i] = relational.Column{Name: c, Type: colType[strings.ToLower(c)]}
-	}
 	schemaKey := ""
-	if key != "" && seenCol[strings.ToLower(key)] {
-		schemaKey = key
+	if keyIdx >= 0 {
+		schemaKey = outCols[keyIdx]
 	}
 	table, err := relational.NewTable(relational.Schema{Name: class, Columns: schemaCols, Key: schemaKey})
 	if err != nil {
 		return nil, err
 	}
 
-	colIdx := make(map[string]int, len(outCols))
-	for i, c := range outCols {
-		colIdx[strings.ToLower(c)] = i
-	}
-
-	keyIdx := -1
-	if schemaKey != "" {
-		keyIdx = colIdx[strings.ToLower(schemaKey)]
-	}
-
-	if len(groups) == 1 {
-		rows := make([]relational.Row, 0, len(groups[0].rows))
-		for _, row := range groups[0].rows {
-			out := zeroRow(schemaCols)
-			for ci, c := range groups[0].cols {
-				if ci < len(row) {
-					out[colIdx[strings.ToLower(c)]] = coerce(row[ci], colType[strings.ToLower(c)])
-				}
-			}
-			rows = append(rows, out)
-		}
-		sortRows(rows, keyIdx, &kb)
-		for _, out := range rows {
-			if err := insertLoose(table, out); err != nil {
-				return nil, err
-			}
-		}
-		return table, nil
-	}
-
-	// Vertical join on the key.
-	keyLC := strings.ToLower(key)
-	merged := make(map[string]relational.Row, totalRows)
+	// Fill: a group's row lands in the output row of its key, made on
+	// first sight; with no key, every surviving row is a row of its own.
+	byKey := make(map[constraint.Value]relational.Row, totalRows)
 	rows := make([]relational.Row, 0, totalRows)
 	for _, g := range groups {
-		ki := -1
-		for ci, c := range g.cols {
-			if strings.ToLower(c) == keyLC {
-				ki = ci
-				break
+		for i, row := range g.rows {
+			if i > 0 && repeats(row, g.rows[i-1], g.ki) {
+				continue
 			}
-		}
-		if ki < 0 {
-			return nil, fmt.Errorf("mrq: vertical fragment of %s lacks key column %s", class, key)
-		}
-		for _, row := range g.rows {
-			kv := row[ki].String()
-			out, ok := merged[kv]
-			if !ok {
+			var out relational.Row
+			if g.ki >= 0 {
+				k := coerce(row[g.ki], schemaCols[keyIdx].Type)
+				out = byKey[k]
+				if out == nil {
+					out = zeroRow(schemaCols)
+					byKey[k] = out
+					rows = append(rows, out)
+				}
+			} else {
 				out = zeroRow(schemaCols)
-				merged[kv] = out
 				rows = append(rows, out)
 			}
-			for ci, c := range g.cols {
-				if ci < len(row) {
-					out[colIdx[strings.ToLower(c)]] = coerce(row[ci], colType[strings.ToLower(c)])
-				}
+			for ci, v := range row {
+				out[g.dst[ci]] = coerce(v, schemaCols[g.dst[ci]].Type)
 			}
 		}
 	}
-	sortRows(rows, colIdx[keyLC], &kb)
+	slices.SortFunc(rows, func(a, b relational.Row) int { return compareRows(a, b, keyIdx) })
 	for _, out := range rows {
-		if err := insertLoose(table, out); err != nil {
+		if err := table.Insert(out); err != nil {
 			return nil, err
 		}
 	}
 	return table, nil
 }
 
-// sortRows orders merged rows by the class key, breaking ties (or standing
-// in for a missing key) with the full row contents, so fragment arrival
-// order can never change table order.
-func sortRows(rows []relational.Row, keyIdx int, kb *strings.Builder) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if keyIdx >= 0 {
-			if c := rows[i][keyIdx].Compare(rows[j][keyIdx]); c != 0 {
-				return c < 0
-			}
+// compareRows orders rows by the value at keyIdx (skipped when keyIdx is
+// -1), then by all of their values in column order.
+func compareRows(a, b relational.Row, keyIdx int) int {
+	if keyIdx >= 0 {
+		if c := a[keyIdx].Compare(b[keyIdx]); c != 0 {
+			return c
 		}
-		ki := rowKey(kb, rows[i])
-		return ki < rowKey(kb, rows[j])
-	})
+	}
+	return slices.CompareFunc(a, b, constraint.Value.Compare)
+}
+
+// repeats reports whether a sorted row repeats its predecessor: the same
+// key, or the same values when keyIdx is -1.
+func repeats(row, prev relational.Row, keyIdx int) bool {
+	if keyIdx >= 0 {
+		return row[keyIdx].Equal(prev[keyIdx])
+	}
+	return row.Equal(prev)
 }
 
 func zeroRow(cols []relational.Column) relational.Row {
@@ -709,27 +683,4 @@ func coerce(v constraint.Value, t relational.ColType) constraint.Value {
 		return constraint.Str(strings.Trim(v.String(), "'"))
 	}
 	return v
-}
-
-// insertLoose inserts, tolerating duplicate keys across fragments (the
-// union already deduplicated identical rows; a key collision with
-// different data keeps the first row, replica semantics).
-func insertLoose(t *relational.Table, row relational.Row) error {
-	err := t.Insert(row)
-	if err != nil && strings.Contains(err.Error(), "duplicate key") {
-		return nil
-	}
-	return err
-}
-
-// rowKey renders a row's identity string into the caller's reused builder
-// (the merge path calls this per row; sharing one builder keeps it off the
-// allocation profile).
-func rowKey(b *strings.Builder, r relational.Row) string {
-	b.Reset()
-	for _, v := range r {
-		b.WriteString(v.String())
-		b.WriteByte(0)
-	}
-	return b.String()
 }

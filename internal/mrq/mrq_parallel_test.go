@@ -302,23 +302,41 @@ func TestFetchMetrics(t *testing.T) {
 	}
 }
 
-// TestMergeFragmentsDeterministicUnderShuffle is the regression for the
-// row-order nondeterminism satellite: any permutation of the fragment
-// results must merge to the identical table.
+// TestMergeFragmentsDeterministicUnderShuffle: any permutation of the
+// fragment results must merge to the identical table. A case with want set also
+// pins that table: there, (id, a) replicas disagree on k1 beside a
+// vertical (id, c) fragment, and the least row by value (a=1) is kept in
+// every order.
 func TestMergeFragmentsDeterministicUnderShuffle(t *testing.T) {
-	frags := []*kqml.SQLResult{
-		{Columns: []string{"id", "a"}, Rows: []relational.Row{
-			{relational.Str("k2"), relational.Num(2)},
-			{relational.Str("k0"), relational.Num(0)},
+	cases := []struct {
+		frags []*kqml.SQLResult
+		want  string
+	}{
+		{frags: []*kqml.SQLResult{
+			{Columns: []string{"id", "a"}, Rows: []relational.Row{
+				{relational.Str("k2"), relational.Num(2)},
+				{relational.Str("k0"), relational.Num(0)},
+			}},
+			{Columns: []string{"id", "a"}, Rows: []relational.Row{
+				{relational.Str("k1"), relational.Num(1)},
+				{relational.Str("k0"), relational.Num(0)}, // replica duplicate
+			}},
+			{Columns: []string{"id", "b"}, Rows: []relational.Row{
+				{relational.Str("k3"), relational.Num(33)},
+				{relational.Str("k1"), relational.Num(11)},
+			}},
 		}},
-		{Columns: []string{"id", "a"}, Rows: []relational.Row{
-			{relational.Str("k1"), relational.Num(1)},
-			{relational.Str("k0"), relational.Num(0)}, // replica duplicate
-		}},
-		{Columns: []string{"id", "b"}, Rows: []relational.Row{
-			{relational.Str("k3"), relational.Num(33)},
-			{relational.Str("k1"), relational.Num(11)},
-		}},
+		{frags: []*kqml.SQLResult{
+			{Columns: []string{"id", "a"}, Rows: []relational.Row{
+				{relational.Str("k1"), relational.Num(1)},
+			}},
+			{Columns: []string{"id", "a"}, Rows: []relational.Row{
+				{relational.Str("k1"), relational.Num(2)}, // disagreeing replica
+			}},
+			{Columns: []string{"id", "c"}, Rows: []relational.Row{
+				{relational.Str("k1"), relational.Num(100)},
+			}},
+		}, want: "id:1 a:0 c:0 \n'k1' 1 100 \n"},
 	}
 	render := func(res []*kqml.SQLResult) string {
 		tbl, err := MergeFragments("C2", "id", res)
@@ -339,13 +357,18 @@ func TestMergeFragmentsDeterministicUnderShuffle(t *testing.T) {
 		}
 		return b.String()
 	}
-	want := render(frags)
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 20; i++ {
-		shuffled := append([]*kqml.SQLResult(nil), frags...)
-		rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-		if got := render(shuffled); got != want {
-			t.Fatalf("permutation %d merged differently:\n%s\nvs\n%s", i, got, want)
+	for ci, tc := range cases {
+		want := render(tc.frags)
+		if tc.want != "" && want != tc.want {
+			t.Fatalf("case %d merged to:\n%s\nwant:\n%s", ci, want, tc.want)
+		}
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < 20; i++ {
+			shuffled := append([]*kqml.SQLResult(nil), tc.frags...)
+			rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+			if got := render(shuffled); got != want {
+				t.Fatalf("case %d permutation %d merged differently:\n%s\nvs\n%s", ci, i, got, want)
+			}
 		}
 	}
 }

@@ -136,19 +136,25 @@ func TestMergeFragmentsTypeInference(t *testing.T) {
 func TestMergeFragmentsReplicaKeyCollision(t *testing.T) {
 	// Two replicas return the same key in the same column signature
 	// after dedup of identical rows; a conflicting row for an existing
-	// key keeps the first (replica semantics).
-	r1 := sqlRes([]string{"id", "a"}, relational.Row{str("k1"), num(1)})
-	r2 := sqlRes([]string{"id", "a"}, relational.Row{str("k1"), num(999)})
-	tbl, err := MergeFragments("C2", "id", []*kqml.SQLResult{r1, r2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("rows = %d, want 1", tbl.Len())
-	}
-	row, _ := tbl.Lookup(str("k1"))
-	if !row[1].Equal(num(1)) {
-		t.Errorf("kept row = %v, want the first replica", row)
+	// key keeps the least row by value (replica semantics), so 9 beats
+	// 10 whichever replica answered first.
+	for _, tc := range []struct{ first, second, want float64 }{
+		{1, 999, 1},
+		{10, 9, 9},
+	} {
+		r1 := sqlRes([]string{"id", "a"}, relational.Row{str("k1"), num(tc.first)})
+		r2 := sqlRes([]string{"id", "a"}, relational.Row{str("k1"), num(tc.second)})
+		tbl, err := MergeFragments("C2", "id", []*kqml.SQLResult{r1, r2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Len() != 1 {
+			t.Fatalf("rows = %d, want 1", tbl.Len())
+		}
+		row, _ := tbl.Lookup(str("k1"))
+		if !row[1].Equal(num(tc.want)) {
+			t.Errorf("replicas a=%v, a=%v: kept row = %v, want a=%v", tc.first, tc.second, row, tc.want)
+		}
 	}
 }
 

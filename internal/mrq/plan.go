@@ -335,18 +335,17 @@ func semiJoinKeys(t *relational.Table, col string, maxKeys int) ([]constraint.Va
 	if ci < 0 {
 		return nil, fmt.Sprintf("build table lacks join column %s", col)
 	}
-	seen := make(map[string]bool)
+	seen := make(map[constraint.Value]bool)
 	var keys []constraint.Value
 	reason := ""
 	t.Scan(func(r relational.Row) bool {
 		v := r[ci]
-		k := v.String()
-		if seen[k] {
+		if seen[v] {
 			return true
 		}
-		seen[k] = true
+		seen[v] = true
 		if !renderableKey(v) {
-			reason = fmt.Sprintf("join key %s not renderable in the SQL subset", k)
+			reason = fmt.Sprintf("join key %s not renderable in the SQL subset", v)
 			return false
 		}
 		keys = append(keys, v)

@@ -157,6 +157,10 @@ func (p *parser) ident() (string, error) {
 		return "", fmt.Errorf("expected an identifier, got %q", p.peek())
 	}
 	t := p.toks[p.pos].text
+	if sqlparse.Reserved(t) {
+		// The translation renders as SQL, where the word is a keyword.
+		return "", fmt.Errorf("expected an identifier, got reserved word %q", t)
+	}
 	p.pos++
 	return t, nil
 }

@@ -165,6 +165,7 @@ func TestParseErrors(t *testing.T) {
 		"select sum(*) from p in patient",
 		"select p.a from p in patient order p.a",
 		"select p.a from p in patient extra",
+		"select * from p in where", // an SQL keyword cannot name a class
 	} {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("Parse(%q) should fail", q)

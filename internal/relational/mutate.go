@@ -15,23 +15,12 @@ func (t *Table) Update(key constraint.Value, r Row) error {
 	if t.byKey == nil {
 		return fmt.Errorf("relational: table %q has no key; update unsupported", t.schema.Name)
 	}
-	if len(r) != len(t.schema.Columns) {
-		return fmt.Errorf("relational: table %q expects %d values, got %d", t.schema.Name, len(t.schema.Columns), len(r))
+	if err := t.check(r); err != nil {
+		return err
 	}
 	ki := t.schema.ColIndex(t.schema.Key)
 	if !r[ki].Equal(key) {
 		return fmt.Errorf("relational: table %q update cannot change key %s to %s", t.schema.Name, key, r[ki])
-	}
-	for i, v := range r {
-		want := t.schema.Columns[i].Type
-		got := TypeString
-		if v.Kind() == constraint.KindNumber {
-			got = TypeNumber
-		}
-		if got != want {
-			return fmt.Errorf("relational: table %q column %q wants %s, got %s",
-				t.schema.Name, t.schema.Columns[i].Name, want, got)
-		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -9,6 +9,8 @@ package relational
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,6 +97,39 @@ func (s Schema) Validate() error {
 // Row is one tuple, positionally matching the schema's columns.
 type Row []constraint.Value
 
+// Equal reports whether two rows hold equal values (constraint.Value.Equal)
+// in the same positions.
+func (r Row) Equal(o Row) bool { return slices.EqualFunc(r, o, constraint.Value.Equal) }
+
+// Hash is an FNV-1a hash over each value's kind, then its number bits (-0
+// folded into 0) or its string bytes, then a separator. Equal rows hash
+// alike; it allocates nothing.
+func (r Row) Hash() uint64 {
+	const prime = 1099511628211
+	var h uint64 = 14695981039346656037
+	for i := range r {
+		v := &r[i] // not a copy: copying each value cost a fifth more per row
+		h = (h ^ uint64(v.Kind())) * prime
+		if v.Kind() == constraint.KindNumber {
+			x := v.Number()
+			if x == 0 {
+				x = 0 // -0 and 0 are one value
+			}
+			bits := math.Float64bits(x)
+			for j := 0; j < 64; j += 8 {
+				h = (h ^ (bits >> j & 0xff)) * prime
+			}
+		} else {
+			s := v.Text()
+			for j := 0; j < len(s); j++ {
+				h = (h ^ uint64(s[j])) * prime
+			}
+		}
+		h = (h ^ 0x1f) * prime
+	}
+	return h
+}
+
 // Table is a mutable relation. It is safe for concurrent use.
 type Table struct {
 	schema Schema
@@ -146,6 +181,25 @@ func (t *Table) Len() int {
 // Insert appends a row after type-checking it against the schema. Inserting
 // a duplicate key fails.
 func (t *Table) Insert(r Row) error {
+	if err := t.check(r); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byKey != nil {
+		k := r[t.schema.ColIndex(t.schema.Key)].String()
+		if _, dup := t.byKey[k]; dup {
+			return fmt.Errorf("relational: table %q duplicate key %s", t.schema.Name, k)
+		}
+		t.byKey[k] = len(t.rows)
+	}
+	t.rows = append(t.rows, append(Row(nil), r...))
+	return nil
+}
+
+// check type-checks a row against the schema: its width, then each
+// value's kind against its column's type.
+func (t *Table) check(r Row) error {
 	if len(r) != len(t.schema.Columns) {
 		return fmt.Errorf("relational: table %q expects %d values, got %d", t.schema.Name, len(t.schema.Columns), len(r))
 	}
@@ -160,16 +214,6 @@ func (t *Table) Insert(r Row) error {
 				t.schema.Name, t.schema.Columns[i].Name, want, got, v)
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.byKey != nil {
-		k := r[t.schema.ColIndex(t.schema.Key)].String()
-		if _, dup := t.byKey[k]; dup {
-			return fmt.Errorf("relational: table %q duplicate key %s", t.schema.Name, k)
-		}
-		t.byKey[k] = len(t.rows)
-	}
-	t.rows = append(t.rows, append(Row(nil), r...))
 	return nil
 }
 

@@ -114,11 +114,9 @@ func (a *Agent) buildAd(addr string) *ontology.Advertisement {
 	frag.Classes = append([]string(nil), a.cfg.Fragment.Classes...)
 	frag.Constraints = a.cfg.Fragment.Constraints.Clone()
 	var rows int64
-	if a.cfg.DB != nil {
-		for _, class := range frag.Classes {
-			if t, ok := a.cfg.DB.Table(class); ok {
-				rows += int64(t.Len())
-			}
+	for _, class := range frag.Classes {
+		if t, ok := a.cfg.DB.Table(class); ok {
+			rows += int64(t.Len())
 		}
 	}
 	return &ontology.Advertisement{

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -416,37 +415,15 @@ type resultDigest struct {
 	sum        uint64
 }
 
-// resultHash digests a result. Each row is an FNV-1a hash over each
-// value's kind, then its number bits (-0 folded into 0) or its string
-// bytes, then a separator; it allocates nothing.
+// resultHash digests a result: the sum of its rows' relational.Row.Hash,
+// so row order is normalized out; it allocates nothing.
 func resultHash(res *sqlparse.Result) resultDigest {
 	if res == nil {
 		return resultDigest{}
 	}
-	const prime = 1099511628211
 	var acc uint64
 	for _, row := range res.Rows {
-		var h uint64 = 14695981039346656037
-		for _, v := range row {
-			h = (h ^ uint64(v.Kind())) * prime
-			if v.Kind() == constraint.KindNumber {
-				x := v.Number()
-				if x == 0 {
-					x = 0 // -0 and 0 are one value
-				}
-				bits := math.Float64bits(x)
-				for i := 0; i < 64; i += 8 {
-					h = (h ^ (bits >> i & 0xff)) * prime
-				}
-			} else {
-				s := v.Text()
-				for i := 0; i < len(s); i++ {
-					h = (h ^ uint64(s[i])) * prime
-				}
-			}
-			h = (h ^ 0x1f) * prime
-		}
-		acc += h
+		acc += row.Hash()
 	}
 	return resultDigest{rows: len(res.Rows), cols: len(res.Columns), sum: acc}
 }

@@ -2,7 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"infosleuth/internal/constraint"
@@ -36,7 +36,8 @@ var aggFuncs = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": t
 
 // executeAggregates evaluates the aggregate projection over the joined,
 // filtered tuples. With GroupBy set, one output row per distinct group
-// value (sorted); otherwise a single row. resolve maps a ColRef to its
+// value, in value order (constraint.Value.Compare: numbers numerically,
+// before strings); otherwise a single row. resolve maps a ColRef to its
 // tuple index.
 func executeAggregates(sel *Select, tuples []relational.Row, resolve func(ColRef) (int, error)) (*Result, error) {
 	type accum struct {
@@ -68,13 +69,12 @@ func executeAggregates(sel *Select, tuples []relational.Row, resolve func(ColRef
 		argIdx[i] = idx
 	}
 
-	groups := make(map[string][]*accum)
-	groupVal := make(map[string]constraint.Value)
-	var order []string
+	groups := make(map[constraint.Value][]*accum)
+	var order []constraint.Value
 	for _, tuple := range tuples {
-		key := ""
+		var key constraint.Value
 		if groupIdx >= 0 {
-			key = tuple[groupIdx].String()
+			key = tuple[groupIdx]
 		}
 		accs, ok := groups[key]
 		if !ok {
@@ -84,9 +84,6 @@ func executeAggregates(sel *Select, tuples []relational.Row, resolve func(ColRef
 			}
 			groups[key] = accs
 			order = append(order, key)
-			if groupIdx >= 0 {
-				groupVal[key] = tuple[groupIdx]
-			}
 		}
 		for i, a := range sel.Aggs {
 			acc := accs[i]
@@ -108,7 +105,7 @@ func executeAggregates(sel *Select, tuples []relational.Row, resolve func(ColRef
 			acc.seen = true
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, constraint.Value.Compare)
 
 	var cols []string
 	if groupIdx >= 0 {
@@ -136,7 +133,7 @@ func executeAggregates(sel *Select, tuples []relational.Row, resolve func(ColRef
 		accs := groups[key]
 		var row relational.Row
 		if groupIdx >= 0 {
-			row = append(row, groupVal[key])
+			row = append(row, key)
 		}
 		for i, a := range sel.Aggs {
 			acc := accs[i]

@@ -86,14 +86,18 @@ func Execute(db *relational.Database, stmt *Select) (*Result, error) {
 		return nil, err
 	}
 	if stmt.Union != nil {
-		seen := make(map[string]bool, len(out.Rows))
+		// seen maps a row hash to the kept rows that have it.
+		seen := make(map[uint64][]int, len(out.Rows))
 		var dedup []relational.Row
 		add := func(r relational.Row) {
-			k := rowKey(r)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, r)
+			h := r.Hash()
+			for _, i := range seen[h] {
+				if dedup[i].Equal(r) {
+					return
+				}
 			}
+			seen[h] = append(seen[h], len(dedup))
+			dedup = append(dedup, r)
 		}
 		for _, r := range out.Rows {
 			add(r)
@@ -136,15 +140,6 @@ func (r *Result) Sort(col string, desc bool) error {
 		return cmp < 0
 	})
 	return nil
-}
-
-func rowKey(r relational.Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		b.WriteString(v.String())
-		b.WriteByte(0)
-	}
-	return b.String()
 }
 
 // binding tracks where each FROM table's columns land in the joined tuple.
@@ -299,10 +294,9 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 		conds := stageConds[n]
 		// Prefer a hash join on an equality condition whose one side is
 		// entirely in the new table and the other in the prior tuple.
-		var hashPC *plannedCond
+		hashIdx := -1
 		var probeIdx, buildIdx int // probeIdx in prior tuple, buildIdx in new rows
-		for i := range conds {
-			pc := conds[i]
+		for i, pc := range conds {
 			if pc.cond.Between || pc.cond.Op != OpEq || pc.rightIdx < 0 {
 				continue
 			}
@@ -310,35 +304,34 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 			newStart := b.offset
 			switch {
 			case lo >= newStart && hi < newStart:
-				hashPC, buildIdx, probeIdx = &conds[i], lo-newStart, hi
+				hashIdx, buildIdx, probeIdx = i, lo-newStart, hi
 			case hi >= newStart && lo < newStart:
-				hashPC, buildIdx, probeIdx = &conds[i], hi-newStart, lo
+				hashIdx, buildIdx, probeIdx = i, hi-newStart, lo
 			}
-			if hashPC != nil {
+			if hashIdx >= 0 {
 				break
 			}
 		}
 		newRows := b.table.Rows()
 		var next []relational.Row
 		checkRest := func(tuple relational.Row) {
-			for _, pc := range conds {
-				if hashPC != nil && pc.cond.String() == hashPC.cond.String() {
-					continue
-				}
-				if !evalCond(pc, tuple) {
+			for i, pc := range conds {
+				if i != hashIdx && !evalCond(pc, tuple) {
 					return
 				}
 			}
 			next = append(next, tuple)
 		}
-		if hashPC != nil {
-			index := make(map[string][]relational.Row, len(newRows))
+		if hashIdx >= 0 {
+			// Keyed by value: equal values are the same key, exactly as
+			// the equality condition the index stands in for compares.
+			index := make(map[constraint.Value][]relational.Row, len(newRows))
 			for _, nr := range newRows {
-				k := nr[buildIdx].String()
+				k := nr[buildIdx]
 				index[k] = append(index[k], nr)
 			}
 			for _, t := range tuples {
-				for _, nr := range index[t[probeIdx].String()] {
+				for _, nr := range index[t[probeIdx]] {
 					tuple := append(append(relational.Row(nil), t...), nr...)
 					checkRest(tuple)
 				}

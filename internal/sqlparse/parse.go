@@ -220,6 +220,11 @@ var sqlReserved = map[string]bool{
 	"desc": true, "asc": true, "in": true,
 }
 
+// Reserved reports whether a word (in any case) is a keyword of the SQL
+// subset, so it cannot name a table, alias or column in a statement that
+// must parse back.
+func Reserved(word string) bool { return sqlReserved[strings.ToLower(word)] }
+
 func (p *sqlParser) selectStmt() (*Select, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err

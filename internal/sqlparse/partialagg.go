@@ -2,7 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"infosleuth/internal/constraint"
@@ -127,8 +127,8 @@ func (p *PartialAggPlan) FragmentSQL(class string, conds []Cond) string {
 
 // Merge combines per-fragment partial results into the final aggregate
 // result, matching what Execute would produce over the union of the
-// fragments' tuples: same columns, same group order (sorted by group-key
-// string), AVG recomposed as SUM/COUNT. Fragment rows with COUNT 0 are
+// fragments' tuples: same columns, same group order (group values in
+// value order), AVG recomposed as SUM/COUNT. Fragment rows with COUNT 0 are
 // placeholder rows from empty fragments and are skipped.
 func (p *PartialAggPlan) Merge(fragments []*Result) (*Result, error) {
 	type accum struct {
@@ -144,9 +144,8 @@ func (p *PartialAggPlan) Merge(fragments []*Result) (*Result, error) {
 		groupOff = 1
 	}
 
-	groups := make(map[string]*accum)
-	groupVal := make(map[string]constraint.Value)
-	var order []string
+	groups := make(map[constraint.Value]*accum)
+	var order []constraint.Value
 	for _, fr := range fragments {
 		if fr == nil {
 			continue
@@ -168,9 +167,9 @@ func (p *PartialAggPlan) Merge(fragments []*Result) (*Result, error) {
 				// zero tuples yield one all-zero row); contributes nothing.
 				continue
 			}
-			key := ""
+			var key constraint.Value
 			if p.grouped {
-				key = row[0].String()
+				key = row[0]
 			}
 			acc, ok := groups[key]
 			if !ok {
@@ -182,9 +181,6 @@ func (p *PartialAggPlan) Merge(fragments []*Result) (*Result, error) {
 				}
 				groups[key] = acc
 				order = append(order, key)
-				if p.grouped {
-					groupVal[key] = row[0]
-				}
 			}
 			acc.count += n
 			for i := 1; i < width; i++ {
@@ -208,7 +204,7 @@ func (p *PartialAggPlan) Merge(fragments []*Result) (*Result, error) {
 			}
 		}
 	}
-	sort.Strings(order)
+	slices.SortFunc(order, constraint.Value.Compare)
 
 	var cols []string
 	if p.grouped {
@@ -232,7 +228,7 @@ func (p *PartialAggPlan) Merge(fragments []*Result) (*Result, error) {
 		acc := groups[key]
 		var row relational.Row
 		if p.grouped {
-			row = append(row, groupVal[key])
+			row = append(row, key)
 		}
 		for _, s := range p.slots {
 			switch s.fn {

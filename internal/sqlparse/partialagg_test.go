@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 
 // aggDifferential is the partial-aggregate soundness harness: the same rows
 // evaluated locally in one table must be byte-identical to per-fragment
-// partials merged at the MRQ, for any split of the rows into fragments.
-func aggDifferential(t *testing.T, schema relational.Schema, fragments [][]relational.Row, sql string) {
+// partials merged at the MRQ, for any split of the rows into fragments. It
+// returns the merged result.
+func aggDifferential(t *testing.T, schema relational.Schema, fragments [][]relational.Row, sql string) *Result {
 	t.Helper()
 	stmt, err := Parse(sql)
 	if err != nil {
@@ -66,6 +68,7 @@ func aggDifferential(t *testing.T, schema relational.Schema, fragments [][]relat
 		t.Errorf("merged partials differ from local evaluation for %q:\nlocal:\n%s\nmerged:\n%s",
 			sql, want.String(), got.String())
 	}
+	return got
 }
 
 func aggSchema() relational.Schema {
@@ -102,6 +105,24 @@ func TestPartialAggDifferentialGrouped(t *testing.T) {
 	}
 	aggDifferential(t, aggSchema(), frags,
 		"SELECT grp, COUNT(*), SUM(v), AVG(v), MIN(w), MAX(w) FROM T GROUP BY grp")
+}
+
+// TestGroupByValueOrder: groups come out in value order, numbers sorted
+// numerically (9 before 10, not text order), from local evaluation and from
+// merged partials alike.
+func TestGroupByValueOrder(t *testing.T) {
+	frags := [][]relational.Row{
+		{aggRow("a", "x", 10, 1), aggRow("b", "y", 9, 2)},
+		{aggRow("c", "x", 100, 3), aggRow("d", "y", 10, 4)},
+	}
+	got := aggDifferential(t, aggSchema(), frags, "SELECT v, COUNT(*), SUM(w) FROM T GROUP BY v")
+	var order []float64
+	for _, row := range got.Rows {
+		order = append(order, row[0].Number())
+	}
+	if !slices.Equal(order, []float64{9, 10, 100}) {
+		t.Errorf("group order = %v, want [9 10 100]", order)
+	}
 }
 
 func TestPartialAggDifferentialAvgIsSumOverCount(t *testing.T) {
