@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"infosleuth/internal/jsonwire"
 )
 
 // The oracle: Value's JSON methods as they were before the hand-written
@@ -126,6 +129,43 @@ func TestValueJSONRejectsNonFinite(t *testing.T) {
 		if _, err := refMarshalValue(Num(f)); err == nil {
 			t.Errorf("reference accepts %v", f)
 		}
+	}
+}
+
+// TestSetJSONAddsAtoms: a set decodes to the set its atoms build when
+// added one by one, whatever their order on the wire and when two of them
+// constrain one field, as Set.UnmarshalJSON always decoded it; and the
+// hand-written decoder takes such a list rather than leaving it to
+// encoding/json.
+func TestSetJSONAddsAtoms(t *testing.T) {
+	atoms := []Atom{
+		{Field: "b", Interval: AtMost(5)},
+		{Field: "a", Allowed: []Value{Str("x"), Num(2)}},
+		{Field: "a", Allowed: []Value{Num(2)}},
+		{Field: "c", Interval: NewRange(1, 9)},
+		{Field: "c", Interval: GreaterThan(3)},
+	}
+	data, err := json.Marshal(atoms) // Atom has no JSON methods of its own
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewSet(atoms...)
+	d := jsonwire.NewDec(data)
+	var fast Set
+	if !fast.DecodeJSON(&d) || !d.Done() {
+		t.Fatalf("DecodeJSON declined %s", data)
+	}
+	var got Set
+	if err := got.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&fast, want) || !reflect.DeepEqual(&got, want) {
+		t.Fatalf("decoding %s:\n got %v and %v\nwant %v", data, &fast, &got, want)
+	}
+	enc, err := got.MarshalJSON()
+	ref, refErr := json.Marshal(want.Atoms())
+	if err != nil || refErr != nil || !bytes.Equal(enc, ref) {
+		t.Fatalf("MarshalJSON = %s, %v; reference %s, %v", enc, err, ref, refErr)
 	}
 }
 

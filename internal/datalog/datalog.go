@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Term is a variable or a constant.
@@ -38,22 +39,47 @@ func C(value string) Term { return Term{Name: value} }
 // CNum returns a numeric constant term.
 func CNum(v float64) Term { return Term{Name: strconv.FormatFloat(v, 'g', -1, 64)} }
 
-// String renders the term.
+// String renders the term the way ParseProgram reads it back: a variable
+// as ?Name, a constant bare when it lexes as one constant word or number,
+// and in double quotes otherwise. The lexer knows no escapes, so the
+// quoted text is the constant as it stands; a constant holding a double
+// quote has no form it reads back, and renders Go-quoted.
 func (t Term) String() string {
-	if t.Var {
+	switch {
+	case t.Var:
 		return "?" + t.Name
+	case bare(t.Name):
+		return t.Name
+	case !strings.Contains(t.Name, `"`):
+		return `"` + t.Name + `"`
 	}
-	if needsQuote(t.Name) {
-		return strconv.Quote(t.Name)
-	}
-	return t.Name
+	return strconv.Quote(t.Name)
 }
 
-func needsQuote(s string) bool {
+// bare reports whether dlLex reads s as one token, an ident or a number,
+// with text s: it applies the lexer's own byte tests.
+func bare(s string) bool {
 	if s == "" {
+		return false
+	}
+	if c := rune(s[0]); unicode.IsLetter(c) && !unicode.IsUpper(c) {
+		for i := 1; i < len(s); i++ {
+			if c := rune(s[i]); !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' {
+				return false
+			}
+		}
 		return true
 	}
-	return strings.ContainsAny(s, " \t\n(),\"'?")
+	digits := strings.TrimPrefix(s, "-")
+	if digits == "" || !unicode.IsDigit(rune(digits[0])) || s[len(s)-1] == '.' {
+		return false
+	}
+	for i := 1; i < len(digits); i++ {
+		if c := rune(digits[i]); !unicode.IsDigit(c) && c != '.' {
+			return false
+		}
+	}
+	return true
 }
 
 // Atom is a predicate applied to terms.

@@ -313,6 +313,12 @@ func TestRuleAndAtomStrings(t *testing.T) {
 	if got := f.String(); got != `adv("agent one", resource)` {
 		t.Errorf("Fact.String() = %q", got)
 	}
+	// A constant the lexer would read as a variable, as several tokens or
+	// as a comment is quoted; one that lexes as itself is not.
+	f = NewFact("p", "Agent", "_x", "a.b", "7.", "%c", "-", "line\nbreak", "-7.25", "x_1")
+	if got, want := f.String(), "p(\"Agent\", \"_x\", \"a.b\", \"7.\", \"%c\", \"-\", \"line\nbreak\", -7.25, x_1)"; got != want {
+		t.Errorf("Fact.String() = %q, want %q", got, want)
+	}
 }
 
 func TestDuplicateFactsDeduplicated(t *testing.T) {

@@ -77,9 +77,9 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// AppendStrings appends a []string the way json.Marshal does: null for a
-// nil slice, [] for an empty one.
-func AppendStrings(dst []byte, ss []string) []byte {
+// AppendStrings appends a slice of strings the way json.Marshal does: null
+// for a nil slice, [] for an empty one.
+func AppendStrings[S ~string](dst []byte, ss []S) []byte {
 	if ss == nil {
 		return append(dst, "null"...)
 	}
@@ -88,7 +88,7 @@ func AppendStrings(dst []byte, ss []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = AppendString(dst, s)
+		dst = AppendString(dst, string(s))
 	}
 	return append(dst, ']')
 }
@@ -310,9 +310,15 @@ func atoi(lit []byte) int64 {
 	return n
 }
 
-// Strings consumes what AppendStrings writes, cutting the strings from the
-// shared copy of the text.
-func (d *Dec) Strings() ([]string, bool) {
+// Strings consumes what AppendStrings writes; each string has memory of
+// its own.
+func (d *Dec) Strings() ([]string, bool) { return d.strings(false) }
+
+// SharedStrings is Strings with the strings cut from the shared copy of
+// the text, as SharedString cuts them.
+func (d *Dec) SharedStrings() ([]string, bool) { return d.strings(true) }
+
+func (d *Dec) strings(shared bool) ([]string, bool) {
 	if d.Lit("null") {
 		return nil, true
 	}
@@ -322,9 +328,16 @@ func (d *Dec) Strings() ([]string, bool) {
 	if d.Byte(']') {
 		return []string{}, true
 	}
-	ss := make([]string, 0, 8)
+	// A look ahead sizes the slice exactly: the strings' contents are
+	// scanned twice, but the slice is allocated once and holds no spare
+	// capacity for as long as the caller keeps it.
+	n, probe := 1, *d
+	for _, _, _, ok := probe.scanString(); ok && probe.Byte(','); _, _, _, ok = probe.scanString() {
+		n++
+	}
+	ss := make([]string, 0, n)
 	for {
-		s, ok := d.SharedString()
+		s, ok := d.decodeString(shared)
 		if !ok {
 			return nil, false
 		}
@@ -336,6 +349,14 @@ func (d *Dec) Strings() ([]string, bool) {
 			return nil, false
 		}
 	}
+}
+
+// Bool consumes true or false.
+func (d *Dec) Bool() (v, ok bool) {
+	if d.Lit("true") {
+		return true, true
+	}
+	return false, d.Lit("false")
 }
 
 // Number consumes a JSON number and returns it as encoding/json decodes
@@ -367,6 +388,12 @@ func (d *Dec) Int() (int64, bool) {
 	lit, ok := d.integer()
 	n, err := strconv.ParseInt(string(lit), 10, 64)
 	return n, ok && err == nil
+}
+
+// IntSize consumes a JSON number that is an integer literal in int range.
+func (d *Dec) IntSize() (int, bool) {
+	n, ok := d.Int()
+	return int(n), ok && int64(int(n)) == n
 }
 
 // Uint consumes a JSON number that is an integer literal in uint64 range.
@@ -444,4 +471,14 @@ func (d *Dec) skip(depth int) bool {
 		_, _, ok := d.scanNumber()
 		return ok
 	}
+}
+
+// Ptr consumes null, for a nil pointer, or a value that decode reads into
+// a new T.
+func Ptr[T any](d *Dec, decode func(*T, *Dec) bool) (*T, bool) {
+	if d.Lit("null") {
+		return nil, true
+	}
+	v := new(T)
+	return v, decode(v, d)
 }

@@ -120,8 +120,40 @@ func TestDecAcceptsTheCanonicalShape(t *testing.T) {
 		t.Fatalf("Raw(%s) = %s, %v", text, raw, ok)
 	}
 	d = NewDec([]byte(`["a","","b"]x`))
-	if ss, ok := d.Strings(); !ok || len(ss) != 3 || ss[0] != "a" || ss[1] != "" || ss[2] != "b" || !d.Byte('x') || !d.Done() {
+	if ss, ok := d.SharedStrings(); !ok || len(ss) != 3 || ss[0] != "a" || ss[1] != "" || ss[2] != "b" || !d.Byte('x') || !d.Done() {
 		t.Fatalf("Strings = %q, %v", ss, ok)
+	}
+	text = `["a","b\n",""]`
+	buf := []byte(text)
+	d = NewDec(buf)
+	ss, ok := d.Strings()
+	copy(buf, strings.Repeat("x", len(buf)))
+	if !ok || !d.Done() || len(ss) != 3 || cap(ss) != 3 || ss[0] != "a" || ss[1] != "b\n" || ss[2] != "" {
+		t.Fatalf("Strings(%s) = %q (cap %d), %v, not its own exactly sized copy", text, ss, cap(ss), ok)
+	}
+	d = NewDec([]byte(`[true,false,tru]`))
+	if !d.Byte('[') {
+		t.Fatal("Byte")
+	}
+	if b, ok := d.Bool(); !ok || !b || !d.Byte(',') {
+		t.Fatalf("Bool(true) = %v, %v", b, ok)
+	}
+	if b, ok := d.Bool(); !ok || b || !d.Byte(',') {
+		t.Fatalf("Bool(false) = %v, %v", b, ok)
+	}
+	if _, ok := d.Bool(); ok {
+		t.Fatal("Bool accepted tru")
+	}
+	dec := func(n *int, d *Dec) (ok bool) {
+		*n, ok = d.IntSize()
+		return ok
+	}
+	d = NewDec([]byte(`null,7`))
+	if p, ok := Ptr(&d, dec); !ok || p != nil || !d.Byte(',') {
+		t.Fatalf("Ptr(null) = %v, %v", p, ok)
+	}
+	if p, ok := Ptr(&d, dec); !ok || p == nil || *p != 7 || !d.Done() {
+		t.Fatalf("Ptr(7) = %v, %v", p, ok)
 	}
 	d = NewDec([]byte(`{"k":12}`))
 	if !d.Lit(`{"k":`) || d.Lit(`13`) || d.Byte('x') {

@@ -6,15 +6,20 @@ import (
 	"strconv"
 
 	"infosleuth/internal/jsonwire"
+	"infosleuth/internal/ontology"
 	"infosleuth/internal/relational"
 )
 
 // The wire codec. A frame is the JSON object encoding/json writes for a
 // Message, and content is the JSON it writes for the payload struct; this
 // file produces and consumes those same bytes without reflection for the
-// envelope and for the payloads that carry rows (SQLResult, alone or
-// inside UpdateContent and SubscribeAck). Every other payload, and the
-// trace annex, are small and off the data path and go through
+// envelope and for the payloads on the measured paths: the ones that
+// carry rows (SQLResult, alone or inside UpdateContent and SubscribeAck),
+// and the ones on every search, advertise and query hop (AdvertiseContent,
+// BrokerQuery, BrokerReply and SQLQuery, over the advertisement, query and
+// constraint-set codecs of internal/ontology and internal/constraint).
+// The trace annex and the payloads off those paths (recruit, sorry,
+// update acks, ontology replies, monitor snapshots) go through
 // encoding/json, as does any input the hand-written decoders do not
 // recognize: they handle the one shape the encoders emit and leave the
 // question of what else is acceptable to encoding/json.
@@ -172,8 +177,72 @@ func encodeContent(v any) ([]byte, error) {
 		if c != nil {
 			return c.appendJSON(make([]byte, 0, 32+len(c.ID)+c.Initial.jsonSizeHint()))
 		}
+	case *AdvertiseContent:
+		if c != nil {
+			dst, err := c.Ad.AppendJSON(append(make([]byte, 0, adSizeHint+8), `{"ad":`...))
+			return append(dst, '}'), err
+		}
+	case *BrokerQuery:
+		if c != nil {
+			return c.appendJSON(make([]byte, 0, 448))
+		}
+	case *BrokerReply:
+		if c != nil {
+			return c.appendJSON(make([]byte, 0, 64+adSizeHint*len(c.Matches)))
+		}
+	case *SQLQuery:
+		if c != nil {
+			return append(jsonwire.AppendString(append(make([]byte, 0, 12+len(c.SQL)), `{"sql":`...), c.SQL), '}'), nil
+		}
 	}
 	return json.Marshal(v)
+}
+
+// adSizeHint is about how long an advertisement's JSON is.
+const adSizeHint = 576
+
+func (q *BrokerQuery) appendJSON(dst []byte) ([]byte, error) {
+	dst, err := q.Query.AppendJSON(append(dst, `{"query":`...))
+	if err != nil {
+		return dst, err
+	}
+	dst = strconv.AppendInt(append(dst, `,"hops_left":`...), int64(q.HopsLeft), 10)
+	if len(q.Visited) > 0 {
+		dst = jsonwire.AppendStrings(append(dst, `,"visited":`...), q.Visited)
+	}
+	if q.Forwarded {
+		dst = append(dst, `,"forwarded":true`...)
+	}
+	if q.Depth != 0 {
+		dst = strconv.AppendInt(append(dst, `,"depth":`...), int64(q.Depth), 10)
+	}
+	return append(dst, '}'), nil
+}
+
+func (r *BrokerReply) appendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"matches":`...)
+	if r.Matches == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, ad := range r.Matches {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = ad.AppendJSON(dst); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	if len(r.Brokers) > 0 {
+		dst = jsonwire.AppendStrings(append(dst, `,"brokers":`...), r.Brokers)
+	}
+	if len(r.Degraded) > 0 {
+		dst = jsonwire.AppendStrings(append(dst, `,"degraded":`...), r.Degraded)
+	}
+	return append(dst, '}'), nil
 }
 
 func (u *UpdateContent) appendJSON(dst []byte) ([]byte, error) {
@@ -239,7 +308,7 @@ func (m *Message) DecodeContent(v any) error {
 	return nil
 }
 
-// decodeContent decodes the row-carrying payloads from the shape
+// decodeContent decodes the hand-written payloads from the shape
 // encodeContent writes. It fills only a zero target, because
 // json.Unmarshal, which it stands in for, keeps what a used target holds
 // for every key the text omits.
@@ -265,8 +334,108 @@ func decodeContent(data []byte, v any) bool {
 			*c = a
 			return true
 		}
+	case *AdvertiseContent:
+		var a AdvertiseContent
+		if c != nil && c.Ad == nil && a.decodeJSON(&d) && d.Done() {
+			*c = a
+			return true
+		}
+	case *BrokerQuery:
+		var q BrokerQuery
+		if c != nil && c.Query == nil && c.HopsLeft == 0 && c.Visited == nil && !c.Forwarded && c.Depth == 0 &&
+			q.decodeJSON(&d) && d.Done() {
+			*c = q
+			return true
+		}
+	case *BrokerReply:
+		var r BrokerReply
+		if c != nil && c.Matches == nil && c.Brokers == nil && c.Degraded == nil && r.decodeJSON(&d) && d.Done() {
+			*c = r
+			return true
+		}
+	case *SQLQuery:
+		if c != nil && c.SQL == "" && d.Lit(`{"sql":`) {
+			if sql, ok := d.String(); ok && d.Byte('}') && d.Done() {
+				c.SQL = sql
+				return true
+			}
+		}
 	}
 	return false
+}
+
+func (a *AdvertiseContent) decodeJSON(d *jsonwire.Dec) bool {
+	var ok bool
+	if !d.Lit(`{"ad":`) {
+		return false
+	}
+	if a.Ad, ok = jsonwire.Ptr(d, (*ontology.Advertisement).DecodeJSON); !ok {
+		return false
+	}
+	return d.Byte('}')
+}
+
+func (q *BrokerQuery) decodeJSON(d *jsonwire.Dec) bool {
+	var ok bool
+	if !d.Lit(`{"query":`) {
+		return false
+	}
+	if q.Query, ok = jsonwire.Ptr(d, (*ontology.Query).DecodeJSON); !ok || !d.Lit(`,"hops_left":`) {
+		return false
+	}
+	if q.HopsLeft, ok = d.IntSize(); !ok {
+		return false
+	}
+	if d.Lit(`,"visited":`) {
+		if q.Visited, ok = d.Strings(); !ok {
+			return false
+		}
+	}
+	if d.Lit(`,"forwarded":`) {
+		if q.Forwarded, ok = d.Bool(); !ok {
+			return false
+		}
+	}
+	if d.Lit(`,"depth":`) {
+		if q.Depth, ok = d.IntSize(); !ok {
+			return false
+		}
+	}
+	return d.Byte('}')
+}
+
+func (r *BrokerReply) decodeJSON(d *jsonwire.Dec) bool {
+	if !d.Lit(`{"matches":`) {
+		return false
+	}
+	if !d.Lit("null") {
+		if !d.Byte('[') {
+			return false
+		}
+		r.Matches = []*ontology.Advertisement{}
+		for first := true; !d.Byte(']'); first = false {
+			if !first && !d.Byte(',') {
+				return false
+			}
+			ad, ok := jsonwire.Ptr(d, (*ontology.Advertisement).DecodeJSON)
+			if !ok {
+				return false
+			}
+			r.Matches = append(r.Matches, ad)
+		}
+	}
+	var ok bool
+	if d.Lit(`,"brokers":`) {
+		if r.Brokers, ok = d.Strings(); !ok {
+			return false
+		}
+	}
+	if d.Lit(`,"degraded":`) {
+		if r.Degraded, ok = d.Strings(); !ok {
+			return false
+		}
+	}
+	return d.Byte('}')
 }
 
 func (r *SQLResult) isZero() bool {
@@ -278,7 +447,7 @@ func (r *SQLResult) decodeJSON(d *jsonwire.Dec) bool {
 		return false
 	}
 	var ok bool
-	if r.Columns, ok = d.Strings(); !ok || !d.Lit(`,"rows":`) {
+	if r.Columns, ok = d.SharedStrings(); !ok || !d.Lit(`,"rows":`) {
 		return false
 	}
 	if r.Rows, ok = relational.DecodeRowsJSON(d); !ok {
@@ -314,11 +483,9 @@ func (u *UpdateContent) decodeJSON(d *jsonwire.Dec) bool {
 		}
 	}
 	if d.Lit(`,"coalesced":`) {
-		n, ok := d.Int()
-		if !ok || int64(int(n)) != n {
+		if u.Coalesced, ok = d.IntSize(); !ok {
 			return false
 		}
-		u.Coalesced = int(n)
 	}
 	return d.Byte('}')
 }

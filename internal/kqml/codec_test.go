@@ -18,8 +18,10 @@ import (
 // The oracle: the codec as it was before it was written by hand.
 // Everything went through encoding/json by reflection, and every table
 // cell through one nested json.Marshal or json.Unmarshal call. The ref*
-// types mirror the row-carrying payloads with such cells; Message itself
-// has no JSON methods, so json.Marshal(m) is still the old envelope path.
+// types mirror the row-carrying payloads with such cells, and the
+// advertisement, query and set payloads with no JSON methods at all;
+// Message itself has no JSON methods, so json.Marshal(m) is still the old
+// envelope path.
 
 type refCellJSON struct {
 	N *float64 `json:"n,omitempty"`
@@ -75,6 +77,186 @@ type refSubscribeAck struct {
 	Initial refSQLResult `json:"initial"`
 }
 
+// The advertisement and query payloads are mirrored down to their
+// constraint sets, which marshal as their atom lists: no type below a
+// ref*Content has JSON methods except refCell, itself the old path.
+
+type refAtom struct {
+	Field    string
+	Interval constraint.Interval
+	Allowed  []refCell
+}
+
+type refFragment struct {
+	Ontology    string
+	Classes     []string
+	Slots       map[string][]string
+	Constraints *[]refAtom
+}
+
+type refAdvertisement struct {
+	Name             string
+	Address          string
+	Type             ontology.AgentType
+	CommLanguages    []string
+	ContentLanguages []string
+	Conversations    []string
+	Capabilities     []string
+	Content          []refFragment
+	Properties       ontology.Properties
+	Broker           *ontology.BrokerInfo
+}
+
+type refQuery struct {
+	Type            ontology.AgentType
+	ContentLanguage string
+	CommLanguage    string
+	Conversations   []string
+	Capabilities    []string
+	Ontology        string
+	Classes         []string
+	Slots           []string
+	Constraints     *[]refAtom
+	MaxResponseSec  float64
+	RequireMobile   *bool
+	Limit           int
+	Policy          ontology.SearchPolicy
+}
+
+type refAdvertiseContent struct {
+	Ad *refAdvertisement `json:"ad"`
+}
+
+type refBrokerQuery struct {
+	Query     *refQuery `json:"query"`
+	HopsLeft  int       `json:"hops_left"`
+	Visited   []string  `json:"visited,omitempty"`
+	Forwarded bool      `json:"forwarded,omitempty"`
+	Depth     int       `json:"depth,omitempty"`
+}
+
+type refBrokerReply struct {
+	Matches  []*refAdvertisement `json:"matches"`
+	Brokers  []string            `json:"brokers,omitempty"`
+	Degraded []string            `json:"degraded,omitempty"`
+}
+
+type refRecruitContent struct {
+	Query    *refQuery `json:"query"`
+	Embedded *Message  `json:"embedded"`
+}
+
+// toRefSet keeps nil a nil pointer and an empty set an empty, non-nil
+// list: the set marshals as [] and a nil list would marshal as null.
+func toRefSet(s *constraint.Set) *[]refAtom {
+	if s == nil {
+		return nil
+	}
+	atoms := make([]refAtom, 0, s.Len())
+	for _, a := range s.Atoms() {
+		ra := refAtom{Field: a.Field, Interval: a.Interval}
+		if a.Allowed != nil {
+			ra.Allowed = make([]refCell, len(a.Allowed))
+		}
+		for i, v := range a.Allowed {
+			ra.Allowed[i] = refCell{v}
+		}
+		atoms = append(atoms, ra)
+	}
+	return &atoms
+}
+
+// fromRefSet builds the set the old Set.UnmarshalJSON built: the atoms
+// added one by one to an empty set.
+func fromRefSet(atoms *[]refAtom) *constraint.Set {
+	if atoms == nil {
+		return nil
+	}
+	s := &constraint.Set{}
+	for _, ra := range *atoms {
+		a := constraint.Atom{Field: ra.Field, Interval: ra.Interval}
+		if ra.Allowed != nil {
+			a.Allowed = make([]constraint.Value, len(ra.Allowed))
+		}
+		for i, c := range ra.Allowed {
+			a.Allowed[i] = c.v
+		}
+		s.Add(a)
+	}
+	return s
+}
+
+func toRefAd(ad *ontology.Advertisement) *refAdvertisement {
+	if ad == nil {
+		return nil
+	}
+	out := &refAdvertisement{ad.Name, ad.Address, ad.Type, ad.CommLanguages, ad.ContentLanguages, ad.Conversations,
+		ad.Capabilities, nil, ad.Properties, ad.Broker}
+	if ad.Content != nil {
+		out.Content = make([]refFragment, len(ad.Content))
+	}
+	for i, f := range ad.Content {
+		out.Content[i] = refFragment{f.Ontology, f.Classes, f.Slots, toRefSet(f.Constraints)}
+	}
+	return out
+}
+
+func fromRefAd(ad *refAdvertisement) *ontology.Advertisement {
+	if ad == nil {
+		return nil
+	}
+	out := &ontology.Advertisement{Name: ad.Name, Address: ad.Address, Type: ad.Type, CommLanguages: ad.CommLanguages,
+		ContentLanguages: ad.ContentLanguages, Conversations: ad.Conversations, Capabilities: ad.Capabilities,
+		Properties: ad.Properties, Broker: ad.Broker}
+	if ad.Content != nil {
+		out.Content = make([]ontology.Fragment, len(ad.Content))
+	}
+	for i, f := range ad.Content {
+		out.Content[i] = ontology.Fragment{Ontology: f.Ontology, Classes: f.Classes, Slots: f.Slots, Constraints: fromRefSet(f.Constraints)}
+	}
+	return out
+}
+
+func toRefAds(ads []*ontology.Advertisement) []*refAdvertisement {
+	if ads == nil {
+		return nil
+	}
+	out := make([]*refAdvertisement, len(ads))
+	for i, ad := range ads {
+		out[i] = toRefAd(ad)
+	}
+	return out
+}
+
+func fromRefAds(ads []*refAdvertisement) []*ontology.Advertisement {
+	if ads == nil {
+		return nil
+	}
+	out := make([]*ontology.Advertisement, len(ads))
+	for i, ad := range ads {
+		out[i] = fromRefAd(ad)
+	}
+	return out
+}
+
+func toRefQuery(q *ontology.Query) *refQuery {
+	if q == nil {
+		return nil
+	}
+	return &refQuery{q.Type, q.ContentLanguage, q.CommLanguage, q.Conversations, q.Capabilities, q.Ontology, q.Classes,
+		q.Slots, toRefSet(q.Constraints), q.MaxResponseSec, q.RequireMobile, q.Limit, q.Policy}
+}
+
+func fromRefQuery(q *refQuery) *ontology.Query {
+	if q == nil {
+		return nil
+	}
+	return &ontology.Query{Type: q.Type, ContentLanguage: q.ContentLanguage, CommLanguage: q.CommLanguage,
+		Conversations: q.Conversations, Capabilities: q.Capabilities, Ontology: q.Ontology, Classes: q.Classes,
+		Slots: q.Slots, Constraints: fromRefSet(q.Constraints), MaxResponseSec: q.MaxResponseSec,
+		RequireMobile: q.RequireMobile, Limit: q.Limit, Policy: q.Policy}
+}
+
 func toRef(r SQLResult) refSQLResult {
 	out := refSQLResult{Columns: r.Columns, Partial: r.Partial, Degraded: r.Degraded}
 	if r.Rows != nil {
@@ -107,8 +289,8 @@ func fromRef(r refSQLResult) SQLResult {
 	return out
 }
 
-// refContent swaps a row-carrying payload for its mirror and leaves every
-// other payload alone.
+// refContent swaps a payload with hand-written JSON beneath it for its
+// mirror and leaves every other payload alone.
 func refContent(v any) any {
 	switch c := v.(type) {
 	case *SQLResult:
@@ -118,6 +300,14 @@ func refContent(v any) any {
 		return &refUpdateContent{c.SubscriptionID, c.SQL, toRef(c.Result), c.Seq, c.Coalesced}
 	case *SubscribeAck:
 		return &refSubscribeAck{c.ID, toRef(c.Initial)}
+	case *AdvertiseContent:
+		return &refAdvertiseContent{toRefAd(c.Ad)}
+	case *BrokerQuery:
+		return &refBrokerQuery{toRefQuery(c.Query), c.HopsLeft, c.Visited, c.Forwarded, c.Depth}
+	case *BrokerReply:
+		return &refBrokerReply{toRefAds(c.Matches), c.Brokers, c.Degraded}
+	case *RecruitContent:
+		return &refRecruitContent{toRefQuery(c.Query), c.Embedded}
 	}
 	return v
 }
@@ -150,6 +340,22 @@ func refDecodeContent(data []byte, target any) (any, error) {
 		var a refSubscribeAck
 		err := json.Unmarshal(data, &a)
 		return &SubscribeAck{a.ID, fromRef(a.Initial)}, err
+	case *AdvertiseContent:
+		var a refAdvertiseContent
+		err := json.Unmarshal(data, &a)
+		return &AdvertiseContent{fromRefAd(a.Ad)}, err
+	case *BrokerQuery:
+		var q refBrokerQuery
+		err := json.Unmarshal(data, &q)
+		return &BrokerQuery{fromRefQuery(q.Query), q.HopsLeft, q.Visited, q.Forwarded, q.Depth}, err
+	case *BrokerReply:
+		var r refBrokerReply
+		err := json.Unmarshal(data, &r)
+		return &BrokerReply{fromRefAds(r.Matches), r.Brokers, r.Degraded}, err
+	case *RecruitContent:
+		var r refRecruitContent
+		err := json.Unmarshal(data, &r)
+		return &RecruitContent{fromRefQuery(r.Query), r.Embedded}, err
 	}
 	out := reflect.New(reflect.TypeOf(target).Elem()).Interface()
 	return out, json.Unmarshal(data, out)
@@ -306,20 +512,137 @@ func (g gen) decision() *ProvEvent {
 	return e
 }
 
+// number returns a float from the edge list or from a wide random range,
+// so that both sides of json.Marshal's 'f'/'e' switch come up.
+func (g gen) number() float64 {
+	if g.r.Intn(2) == 0 {
+		return awkwardNumbers[g.r.Intn(len(awkwardNumbers))]
+	}
+	return g.r.NormFloat64() * math.Pow(10, float64(g.r.Intn(50)-25))
+}
+
+// field returns a constrained field name, from a small pool half of the
+// time so that atoms on one field meet in a set and intersect.
+func (g gen) field() string {
+	if g.r.Intn(2) == 0 {
+		return []string{"patient.age", "patient.code", "x"}[g.r.Intn(3)]
+	}
+	return g.str()
+}
+
+// set returns nil, an empty set or one of zero to three atoms: one-sided,
+// open, closed, unbounded and discrete (with no, one or several values).
+func (g gen) set() *constraint.Set {
+	switch g.r.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return &constraint.Set{}
+	}
+	s := constraint.NewSet()
+	for n := g.r.Intn(4); n > 0; n-- {
+		a := constraint.Atom{Field: g.field()}
+		lo, hi := g.number(), g.number()
+		switch g.r.Intn(7) {
+		case 0:
+			a.Interval = constraint.AtLeast(lo)
+		case 1:
+			a.Interval = constraint.LessThan(hi)
+		case 2:
+			a.Interval = constraint.Interval{HasLo: true, Lo: lo, LoOpen: true, HasHi: true, Hi: hi, HiOpen: true}
+		case 3:
+			a.Interval = constraint.NewRange(lo, hi)
+		case 4:
+			a.Interval = constraint.Unbounded
+		default:
+			a.Allowed = make([]constraint.Value, g.r.Intn(4))
+			for i := range a.Allowed {
+				a.Allowed[i] = g.value()
+			}
+		}
+		s.Add(a)
+	}
+	return s
+}
+
+func (g gen) slots() map[string][]string {
+	if g.r.Intn(3) == 0 {
+		return nil
+	}
+	m := make(map[string][]string)
+	for n := g.r.Intn(4); n > 0; n-- {
+		m[g.str()] = g.strs()
+	}
+	return m
+}
+
+func (g gen) agentType() ontology.AgentType {
+	if g.r.Intn(4) == 0 {
+		return ontology.AgentType(g.str())
+	}
+	return []ontology.AgentType{ontology.TypeResource, ontology.TypeBroker, ontology.TypeQuery, ontology.TypeAny}[g.r.Intn(4)]
+}
+
+func (g gen) ad() *ontology.Advertisement {
+	ad := &ontology.Advertisement{Name: g.str(), Address: g.str(), Type: g.agentType(), CommLanguages: g.strs(),
+		ContentLanguages: g.strs(), Conversations: g.strs(), Capabilities: g.strs(),
+		Properties: ontology.Properties{Mobile: g.r.Intn(2) == 0, Cloneable: g.r.Intn(2) == 0,
+			EstimatedResponseSec: g.number(), ThroughputQPS: g.number(), EstimatedRows: g.r.Int63() >> g.r.Intn(64)}}
+	switch n := g.r.Intn(5); n {
+	case 0: // nil content
+	case 1:
+		ad.Content = []ontology.Fragment{}
+	default:
+		for ; n > 1; n-- {
+			ad.Content = append(ad.Content, ontology.Fragment{Ontology: g.str(), Classes: g.strs(), Slots: g.slots(), Constraints: g.set()})
+		}
+	}
+	if g.r.Intn(3) == 0 {
+		ad.Broker = &ontology.BrokerInfo{Community: g.str(), Consortia: g.strs(), Specializations: g.strs(),
+			SpecializationClasses: g.strs(), ConversationTypes: g.strs()}
+		if types := g.strs(); types != nil {
+			ad.Broker.AgentTypes = make([]ontology.AgentType, len(types))
+			for i := range types {
+				ad.Broker.AgentTypes[i] = g.agentType()
+			}
+		}
+	}
+	return ad
+}
+
+// maybeAd returns nil sometimes, for the null a nil pointer encodes as.
+func (g gen) maybeAd() *ontology.Advertisement {
+	if g.r.Intn(10) == 0 {
+		return nil
+	}
+	return g.ad()
+}
+
+func (g gen) query() *ontology.Query {
+	q := &ontology.Query{Type: g.agentType(), ContentLanguage: g.maybe(), CommLanguage: g.maybe(), Conversations: g.strs(),
+		Capabilities: g.strs(), Ontology: g.str(), Classes: g.strs(), Slots: g.strs(), Constraints: g.set(),
+		MaxResponseSec: g.number(), Limit: g.r.Intn(9) - 1,
+		Policy: ontology.SearchPolicy{HopCount: g.r.Intn(5) - 1, Follow: ontology.FollowOption(g.r.Intn(4))}}
+	if g.r.Intn(3) > 0 {
+		mobile := g.r.Intn(2) == 0
+		q.RequireMobile = &mobile
+	}
+	return q
+}
+
 // content returns a payload of the kind the performative usually carries,
 // nil sometimes.
 func (g gen) content(p Performative) any {
 	if g.r.Intn(12) == 0 {
 		return nil
 	}
-	query := &ontology.Query{Ontology: g.str(), Classes: g.strs(), Constraints: constraint.NewSet(
-		constraint.Atom{Field: "patient.age", Interval: constraint.NewRange(43, 75)},
-		constraint.Atom{Field: g.str(), Allowed: []constraint.Value{g.value(), g.value()}})}
-	ad := &ontology.Advertisement{Name: g.str(), Address: g.str(), Type: ontology.TypeResource, ContentLanguages: g.strs(),
-		Content: []ontology.Fragment{{Ontology: g.str(), Classes: g.strs(), Constraints: query.Constraints}}}
+	query := g.query()
+	if g.r.Intn(10) == 0 {
+		query = nil
+	}
 	switch p {
 	case Advertise, Unadvertise:
-		return &AdvertiseContent{Ad: ad}
+		return &AdvertiseContent{Ad: g.maybeAd()}
 	case AskAll, AskOne:
 		if g.r.Intn(2) == 0 {
 			return &BrokerQuery{Query: query, HopsLeft: g.r.Intn(4), Visited: g.strs(), Forwarded: g.r.Intn(2) == 0, Depth: g.r.Intn(3)}
@@ -328,7 +651,17 @@ func (g gen) content(p Performative) any {
 	case Tell:
 		switch g.r.Intn(6) {
 		case 0:
-			return &BrokerReply{Matches: []*ontology.Advertisement{ad}, Brokers: g.strs(), Degraded: g.strs()}
+			var matches []*ontology.Advertisement
+			switch n := g.r.Intn(9); n {
+			case 0: // nil
+			case 1:
+				matches = []*ontology.Advertisement{}
+			default:
+				for ; n > 1; n-- {
+					matches = append(matches, g.maybeAd())
+				}
+			}
+			return &BrokerReply{Matches: matches, Brokers: g.strs(), Degraded: g.strs()}
 		case 1:
 			return &SubscribeAck{ID: g.str(), Initial: g.result()}
 		case 2:
@@ -415,7 +748,7 @@ func checkMessage(t *testing.T, m *Message, body any) {
 	}
 	decoded := reflect.New(reflect.TypeOf(body).Elem()).Interface()
 	switch body.(type) {
-	case *SQLResult, *UpdateContent, *SubscribeAck:
+	case *SQLResult, *UpdateContent, *SubscribeAck, *AdvertiseContent, *BrokerQuery, *BrokerReply, *SQLQuery:
 		if !decodeContent(back.Content, decoded) {
 			t.Fatalf("the %T decoder declined content its own encoder wrote: %s", body, back.Content)
 		}
@@ -478,6 +811,18 @@ func TestSetContentRejectsNonFinite(t *testing.T) {
 				t.Errorf("failed SetContent changed Content to %s", m.Content)
 			}
 		}
+		ad := benchAd(1)
+		ad.Properties.ThroughputQPS = f
+		bad := constraint.NewSet(constraint.Atom{Field: "x", Interval: constraint.AtLeast(f)})
+		for _, body := range []any{&AdvertiseContent{Ad: ad}, &BrokerReply{Matches: []*ontology.Advertisement{benchAd(2), ad}},
+			&BrokerQuery{Query: &ontology.Query{Constraints: bad}}, &BrokerQuery{Query: &ontology.Query{MaxResponseSec: f}}} {
+			if err := new(Message).SetContent(body); err == nil {
+				t.Errorf("SetContent(%T with %v) succeeded, want an error", body, f)
+			}
+			if _, err := json.Marshal(refContent(body)); err == nil {
+				t.Errorf("reference accepts %T with %v", body, f)
+			}
+		}
 	}
 }
 
@@ -511,6 +856,36 @@ func TestDecodedRowsAreIndependent(t *testing.T) {
 	_ = append(res.Rows[0], constraint.Str("overflow"))
 	if !res.Rows[1][0].Equal(constraint.Num(2)) {
 		t.Fatalf("appending to row 0 overwrote row 1: %v", res.Rows[1])
+	}
+}
+
+// TestDecodedAdvertisementOwnsItsStrings: a broker keeps an advertisement
+// for as long as it is advertised, so nothing decoded from one may be a
+// window of the frame. Overwriting the frame must leave the ad unchanged.
+func TestDecodedAdvertisementOwnsItsStrings(t *testing.T) {
+	ad := benchAd(3)
+	ad.Content[0].Constraints.Add(constraint.Atom{Field: "c3.status", Allowed: []constraint.Value{constraint.Str("open")}})
+	want := ad.Clone()
+	wire := mustMarshal(t, New(Advertise, "RA3", &AdvertiseContent{Ad: ad}))
+	m, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ac AdvertiseContent
+	if err := m.DecodeContent(&ac); err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire {
+		wire[i] = 'X'
+	}
+	got := ac.Ad
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the frame was overwritten the decoded ad reads\n%#v\nwant\n%#v", got, want)
+	}
+	status, _ := got.Content[0].Constraints.Atom("c3.status")
+	if got.Name != "RA3" || got.Address != "tcp://127.0.0.1:9" || got.Content[0].Classes[0] != "c3" ||
+		got.Content[0].Constraints.Fields()[0] != "c3.id" || status.Allowed[0].Text() != "open" {
+		t.Fatalf("decoded ad changed with its frame: %v %v", got, got.Content[0].Constraints)
 	}
 }
 
@@ -634,6 +1009,66 @@ func FuzzSQLResultJSON(f *testing.F) {
 	})
 }
 
+func FuzzBrokerPayloadJSON(f *testing.F) {
+	g := gen{rand.New(rand.NewSource(13))}
+	for i := 0; i < 12; i++ {
+		for _, p := range []Performative{Advertise, AskAll, Tell} {
+			body := g.content(p)
+			switch body.(type) {
+			case *AdvertiseContent, *BrokerQuery, *BrokerReply, *SQLQuery:
+				if m := new(Message); m.SetContent(body) == nil {
+					f.Add([]byte(m.Content))
+				}
+			}
+		}
+	}
+	ad := `{"Name":"RA1","Address":"a","Type":"resource","CommLanguages":["KQML"],"ContentLanguages":null,"Conversations":[],` +
+		`"Capabilities":null,"Content":[{"Ontology":"generic","Classes":["C1"],"Slots":{"C1":["id"]},"Constraints":` +
+		`[{"Field":"C1.id","Interval":{"HasLo":true,"HasHi":false,"Lo":4,"Hi":0,"LoOpen":false,"HiOpen":false},"Allowed":null}]}],` +
+		`"Properties":{"Mobile":false,"Cloneable":false,"EstimatedResponseSec":0,"ThroughputQPS":0,"EstimatedRows":7},"Broker":null}`
+	for _, s := range []string{
+		`{"ad":null}`, `{"ad":` + ad + `}`, `{"ad" : ` + ad + `}`, `{"matches":[` + ad + `,null,` + ad + `],"brokers":["B1"]}`,
+		`{"matches":null}`, `{"matches":[],"brokers":[],"degraded":null}`, `{"degraded":["B2"],"matches":[]}`,
+		`{"ad":{"Name":"x","Slots":{"b":["1"],"a":null,"b":[]}}}`,
+		`{"ad":{"Name":"x","Content":[{"Slots":{"b":["1"],"a":null,"b":[]},"Constraints":[]}]}}`,
+		`{"query":null,"hops_left":1}`, `{"query":null,"hops_left":1.5}`, `{"query":null,"hops_left":99999999999999999999}`,
+		`{"query":{"Type":"","ContentLanguage":"","CommLanguage":"","Conversations":null,"Capabilities":null,"Ontology":"","Classes":null,` +
+			`"Slots":null,"Constraints":[{"Field":"a","Interval":{"HasLo":false,"HasHi":false,"Lo":0,"Hi":0,"LoOpen":false,"HiOpen":false},` +
+			`"Allowed":[{"s":"x"},{"n":1}]},{"Field":"a","Interval":{"HasLo":false,"HasHi":false,"Lo":0,"Hi":0,"LoOpen":false,"HiOpen":false},` +
+			`"Allowed":[{"n":1}]}],"MaxResponseSec":1e-7,"RequireMobile":false,"Limit":-1,"Policy":{"HopCount":2,"Follow":9}},` +
+			`"hops_left":0,"visited":["B1"],"forwarded":false,"depth":-2}`,
+		`{"query":{"Constraints":[{"Field":"b"},{"Field":"a","Allowed":[]}],"RequireMobile":null}}`,
+		`{"query":{"Constraints":null,"RequireMobile":true},"hops_left":"1"}`, `{"sql":"select * from C1"}`, `{"sql":null}`,
+		`{"sql":"a\u003cb\ud800"}`, `{"sql":"x"} `, `{"sql":"x","sql":"y"}`, `null`, `[]`, `{}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return // DecodeContent refuses an absent payload before any decoder sees it
+		}
+		for _, target := range []any{new(AdvertiseContent), new(BrokerQuery), new(BrokerReply), new(SQLQuery)} {
+			m := &Message{Performative: Tell, Sender: "fuzz", Content: data}
+			gotErr := m.DecodeContent(target)
+			want, wantErr := refDecodeContent(data, target)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("DecodeContent(%q) into %T error = %v, reference error = %v", data, target, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if !identical(target, want) {
+				t.Fatalf("DecodeContent(%q):\n got %#v\nwant %#v", data, target, want)
+			}
+			encErr := m.SetContent(target)
+			ref, refErr := json.Marshal(refContent(want))
+			if (encErr == nil) != (refErr == nil) || refErr == nil && !bytes.Equal(m.Content, ref) {
+				t.Fatalf("SetContent of DecodeContent(%q):\n got %s, %v\nwant %s, %v", data, m.Content, encErr, ref, refErr)
+			}
+		}
+	})
+}
+
 // Micro-benchmarks. The result is 128 rows of 5 columns of the kinds the
 // generic domain has (an integer key, two numbers, two short strings),
 // envelope included; the small message is a broker query and its reply.
@@ -651,10 +1086,35 @@ func benchResultMessage() *Message {
 	return m
 }
 
+// benchAd is an advertisement of the shape the broker benchmarks
+// advertise: one fragment of one class under a range constraint.
+func benchAd(i int) *ontology.Advertisement {
+	class := fmt.Sprintf("c%d", i)
+	return &ontology.Advertisement{
+		Name: fmt.Sprintf("RA%d", i), Address: "tcp://127.0.0.1:9", Type: ontology.TypeResource,
+		CommLanguages: []string{ontology.LangKQML}, ContentLanguages: []string{ontology.LangSQL2},
+		Conversations: []string{ontology.ConvAskAll}, Capabilities: []string{ontology.CapRelationalQueryProcessing},
+		Content: []ontology.Fragment{{Ontology: "generic", Classes: []string{class},
+			Constraints: constraint.NewSet(constraint.Atom{Field: class + ".id", Interval: constraint.NewRange(float64(100*i), float64(100*i+250))})}},
+	}
+}
+
+// benchReplyMessage is a broker's tell carrying seven matched
+// advertisements, the size of a search's answer on the broker workload.
+func benchReplyMessage() *Message {
+	reply := &BrokerReply{Brokers: []string{"Broker1"}}
+	for i := 0; i < 7; i++ {
+		reply.Matches = append(reply.Matches, benchAd(i))
+	}
+	m := New(Tell, "Broker1", reply)
+	m.Receiver, m.InReplyTo, m.Ontology = "MRQ1", "q-17", ServiceOntology
+	return m
+}
+
 var benchSink any
 
-// The three codec benchmarks and TestCodecAllocs (their allocation
-// ceilings) run the same operations.
+// The codec benchmarks and TestCodecAllocs (their allocation ceilings)
+// run the same operations.
 
 // encodeResultOp sets a 128-row result as content and marshals the message.
 func encodeResultOp(tb testing.TB) (op func(), wireLen int) {
@@ -694,6 +1154,59 @@ func decodeResultOp(tb testing.TB) (op func(), wireLen int) {
 		}
 		benchSink = res
 	}, len(wire)
+}
+
+// decodeReplyOp unmarshals the seven-advertisement reply and decodes it.
+func decodeReplyOp(tb testing.TB) (op func(), wireLen int) {
+	wire, err := Marshal(benchReplyMessage())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		m, err := Unmarshal(wire)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var r BrokerReply
+		if err := m.DecodeContent(&r); err != nil {
+			tb.Fatal(err)
+		}
+		benchSink = r
+	}, len(wire)
+}
+
+// advertiseOp is an advertise and the broker's tell through the codec,
+// both directions: a resource's advertisement out, the broker's own back.
+func advertiseOp(tb testing.TB) func() {
+	ad := benchAd(5)
+	self := &ontology.Advertisement{Name: "Broker1", Address: "tcp://127.0.0.1:4356", Type: ontology.TypeBroker,
+		CommLanguages: []string{ontology.LangKQML}, ContentLanguages: []string{ontology.LangLDL},
+		Conversations: []string{ontology.ConvAskAll, ontology.ConvAdvertise}, Capabilities: []string{ontology.CapBrokering},
+		Broker: &ontology.BrokerInfo{Community: "c", AgentTypes: []ontology.AgentType{ontology.TypeResource},
+			ConversationTypes: []string{"delegation", "forwarding"}}}
+	roundTrip := func(m *Message) {
+		wire, err := Marshal(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		got, err := Unmarshal(wire)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var ac AdvertiseContent
+		if err := got.DecodeContent(&ac); err != nil {
+			tb.Fatal(err)
+		}
+		benchSink = ac
+	}
+	return func() {
+		adv := New(Advertise, "RA5", &AdvertiseContent{Ad: ad})
+		adv.Receiver, adv.ReplyWith, adv.Ontology = "Broker1", "a-5", ServiceOntology
+		roundTrip(adv)
+		tell := New(Tell, "Broker1", &AdvertiseContent{Ad: self})
+		tell.InReplyTo = adv.ReplyWith
+		roundTrip(tell)
+	}
 }
 
 // smallMessageOp is a broker-query-sized ask/tell round trip through the
@@ -749,6 +1262,11 @@ func BenchmarkCodecEncodeResult(b *testing.B) {
 
 func BenchmarkCodecDecodeResult(b *testing.B) {
 	op, n := decodeResultOp(b)
+	benchmarkCodec(b, op, n)
+}
+
+func BenchmarkCodecBrokerReply(b *testing.B) {
+	op, n := decodeReplyOp(b)
 	benchmarkCodec(b, op, n)
 }
 
