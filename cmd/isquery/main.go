@@ -162,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	msg := kqml.New(kqml.AskAll, "isquery", &kqml.BrokerQuery{Query: q})
 	msg.Ontology = kqml.ServiceOntology
 	if *trace || *traceDump || *explain {
-		msg.TraceID = telemetry.NewTraceID()
+		ctx = telemetry.WithTraceID(ctx, telemetry.NewTraceID())
 	}
 	reply, err := tr.Call(ctx, *brokerAddr, msg)
 	if err != nil {

@@ -489,51 +489,47 @@ func (a *Base) StartHeartbeat(interval time.Duration) (stop func()) {
 // remaining known brokers. When the context carries a trace ID (see
 // telemetry.WithTraceID), the query joins that conversation trace.
 func (a *Base) QueryBrokers(ctx context.Context, q *ontology.Query) (*kqml.BrokerReply, error) {
-	br, _, err := a.queryBrokers(ctx, q, telemetry.TraceIDFrom(ctx))
+	br, _, err := a.queryBrokers(ctx, q)
 	return br, err
 }
 
 // QueryBrokersTraced is QueryBrokers with conversation tracing: it mints a
-// trace ID, carries it on the query, and returns the timing spans
+// trace ID, carries it on the context, and returns the timing spans
 // accumulated across every agent that touched the conversation — one span
 // per broker hop in a multibroker search (Section 2.3's conversation, made
 // visible).
 func (a *Base) QueryBrokersTraced(ctx context.Context, q *ontology.Query) (*kqml.BrokerReply, *kqml.Trace, error) {
 	traceID := telemetry.NewTraceID()
-	br, spans, err := a.queryBrokers(ctx, q, traceID)
+	br, spans, err := a.queryBrokers(telemetry.WithTraceID(ctx, traceID), q)
 	if err != nil {
 		return nil, nil, err
 	}
 	return br, &kqml.Trace{ID: traceID, Spans: kqml.TimingSpans(spans)}, nil
 }
 
-func (a *Base) queryBrokers(ctx context.Context, q *ontology.Query, traceID string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
-	if traceID == "" {
-		return a.queryBrokersInner(ctx, q, traceID)
+// queryBrokers is QueryBrokers returning the reply's trace entries too,
+// under a query.brokers span when the context is traced.
+func (a *Base) queryBrokers(ctx context.Context, q *ontology.Query) (_ *kqml.BrokerReply, _ []kqml.TraceSpan, err error) {
+	if traceID := telemetry.TraceIDFrom(ctx); traceID != "" {
+		defer func(start time.Time) {
+			span := kqml.TraceSpan{
+				Agent:          a.cfg.Name,
+				Op:             telemetry.OpQueryBrokers,
+				Start:          start.UnixNano(),
+				DurationMicros: time.Since(start).Microseconds(),
+			}
+			if err != nil {
+				span.Err = err.Error()
+			}
+			telemetry.RecordSpan(traceID, span)
+		}(time.Now())
 	}
-	start := time.Now()
-	br, spans, err := a.queryBrokersInner(ctx, q, traceID)
-	span := kqml.TraceSpan{
-		Agent:          a.cfg.Name,
-		Op:             telemetry.OpQueryBrokers,
-		Start:          start.UnixNano(),
-		DurationMicros: time.Since(start).Microseconds(),
-	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	telemetry.RecordSpan(traceID, span)
-	return br, spans, err
-}
-
-func (a *Base) queryBrokersInner(ctx context.Context, q *ontology.Query, traceID string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 	tried := make(map[string]bool)
 	var lastErr error
 	attempt := func(addr string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 		tried[addr] = true
 		msg := kqml.New(kqml.AskAll, a.cfg.Name, &kqml.BrokerQuery{Query: q})
 		msg.Ontology = kqml.ServiceOntology
-		msg.TraceID = traceID
 		reply, err := a.call(ctx, addr, msg)
 		if err != nil {
 			return nil, nil, err

@@ -3,6 +3,7 @@ package agent
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/resilience"
 	"infosleuth/internal/resilience/faulty"
+	"infosleuth/internal/telemetry"
 	"infosleuth/internal/transport"
 )
 
@@ -239,4 +241,67 @@ func TestHeartbeatStopIsSynchronous(t *testing.T) {
 		t.Fatalf("in-flight pings after stop = %d, want 0", got)
 	}
 	stop() // still idempotent
+}
+
+// spanLog is a telemetry.SpanRecorder that keeps every entry it is handed
+// with its trace ID.
+type spanLog struct {
+	mu      sync.Mutex
+	entries []loggedSpan
+}
+
+type loggedSpan struct {
+	traceID string
+	kqml.TraceSpan
+}
+
+func (l *spanLog) RecordSpan(traceID string, s kqml.TraceSpan) {
+	l.mu.Lock()
+	l.entries = append(l.entries, loggedSpan{traceID, s})
+	l.mu.Unlock()
+}
+
+// count reports how many of the trace's entries have the op.
+func (l *spanLog) count(traceID, op string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, e := range l.entries {
+		if e.traceID == traceID && e.Op == op {
+			n++
+		}
+	}
+	return n
+}
+
+// TestQueryBrokersTracedRecordsRetries: the trace ID QueryBrokersTraced
+// mints rides the context the call policy reads, so each retry of a
+// dropped broker query records a retry.attempt span in the trace.
+func TestQueryBrokersTracedRecordsRetries(t *testing.T) {
+	inner := transport.NewInProc()
+	b1 := startBroker(t, inner, "B1")
+	ft := faulty.Wrap(inner)
+	a, err := New(Config{Name: "Asker", KnownBrokers: []string{b1.Addr()}},
+		WithTransport(ft), WithCallPolicy(fastPolicy(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Stop() })
+
+	log := &spanLog{}
+	prev := telemetry.SetSpanRecorder(log)
+	defer telemetry.SetSpanRecorder(prev)
+	ft.Script(b1.Addr(), faulty.Drop(), faulty.Drop())
+	_, trace, err := a.QueryBrokersTraced(context.Background(), &ontology.Query{
+		Type: ontology.TypeResource, Ontology: "generic", Classes: []string{"C2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := log.count(trace.ID, telemetry.OpRetryAttempt); n != 2 {
+		t.Errorf("trace holds %d retry.attempt spans, want 2", n)
+	}
 }

@@ -561,46 +561,34 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 	mQueries.With(b.cfg.Name).Inc()
 	start := time.Now()
 	// A traced query gathers the decisions made on its behalf (match
-	// accept/reject, forwarding) so they ride the reply envelope's trace
-	// back toward the originator.
-	ctx := context.Background()
-	var col *provenance.Collector
-	if msg.TraceID != "" {
-		ctx, col = provenance.WithCollector(ctx)
-	}
-	reply, peerSpans, err := b.searchTraced(ctx, &bq, msg.TraceID)
+	// accept/reject, forwarding) and the entries its peers returned, so
+	// they ride the reply envelope's trace back toward the originator.
+	ctx, col := provenance.Receive(msg)
+	reply, err := b.Search(ctx, &bq)
+	var out *kqml.Message
 	if err != nil {
-		out := b.sorry(msg, err.Error())
-		out.Trace = kqml.AppendSpans(nil, col.Entries()...)
-		span := kqml.TraceSpan{
-			Agent:          b.cfg.Name,
-			Op:             kqml.OpBrokerSearch,
-			Hop:            bq.Depth,
-			Start:          start.UnixNano(),
-			DurationMicros: time.Since(start).Microseconds(),
-			Err:            err.Error(),
-		}
-		kqml.PropagateTrace(msg, out, span)
-		telemetry.RecordSpan(msg.TraceID, span)
+		out = b.sorry(msg, err.Error())
 		slog.Debug("broker query failed", "broker", b.cfg.Name, "err", err, "trace_id", msg.TraceID)
-		return out
+	} else {
+		// An empty result is still a successful reply; sorry is reserved
+		// for processing failures. The paper's broker replies with "no
+		// matches", which agents use in broker pings.
+		out = b.reply(msg, kqml.Tell, reply)
 	}
-	// An empty result is still a successful reply; sorry is reserved for
-	// processing failures. The paper's broker replies with "no matches",
-	// which agents use in broker pings.
-	out := b.reply(msg, kqml.Tell, reply)
 	// The reply carries this broker's decisions, then the peers' entries
 	// (their spans and decisions), then this broker's own span, so the
 	// originator reads the spans innermost-hop-first with its entry broker
-	// last. AppendSpans keeps a deep forwarding fan-out, or a flood of
-	// match decisions, from bloating the frame past the envelope caps.
-	out.Trace = kqml.AppendSpans(kqml.AppendSpans(nil, col.Entries()...), peerSpans...)
+	// last; the collector keeps them inside the envelope caps.
+	out.Trace = kqml.AppendSpans(nil, col.Entries()...)
 	span := kqml.TraceSpan{
 		Agent:          b.cfg.Name,
 		Op:             kqml.OpBrokerSearch,
 		Hop:            bq.Depth,
 		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
+	}
+	if err != nil {
+		span.Err = err.Error()
 	}
 	kqml.PropagateTrace(msg, out, span)
 	telemetry.RecordSpan(msg.TraceID, span)
@@ -611,18 +599,12 @@ func (b *Broker) handleQuery(msg *kqml.Message) *kqml.Message {
 // first, then — policy permitting — the inter-broker search of Section 4.3.
 // The advertisements in the reply are shared immutable snapshots (see
 // Matcher.Match): in-process callers must treat them as read-only.
+// A traced context's ID rides every forward, and the peers' returned
+// trace entries go to its collector after this broker's own decisions.
 func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.BrokerReply, error) {
-	reply, _, err := b.searchTraced(ctx, bq, "")
-	return reply, err
-}
-
-// searchTraced is Search carrying a conversation trace ID: forwarded
-// queries propagate the ID so every broker in the search stamps a span,
-// and the trace entries peers returned come back alongside the reply.
-func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 	q := bq.Query
 	if err := q.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if bq.Forwarded {
 		mForwardHops.Observe(float64(bq.Depth))
@@ -654,7 +636,7 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 	// em is nil unless this search is traced and someone is listening
 	// (flight recorder or reply collector); every provenance step below
 	// hides behind that nil check.
-	em := provenance.For(ctx, traceID)
+	em := provenance.For(ctx)
 	var cacheHit bool
 	var cacheGen uint64
 	if em != nil {
@@ -665,7 +647,7 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 	}
 	local, err := b.matchLocal(q)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b.Stats.LocalMatches.Add(int64(len(local)))
 	if em != nil {
@@ -674,17 +656,18 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 
 	reply := &kqml.BrokerReply{Matches: local, Brokers: []string{b.cfg.Name}}
 	var peerSpans []kqml.TraceSpan
-	done := func() *kqml.BrokerReply {
+	done := func() (*kqml.BrokerReply, error) {
 		reply.Matches = mergeMatches(b.cfg.World, q, reply.Matches)
 		if q.Limit > 0 && len(reply.Matches) > q.Limit {
 			reply.Matches = reply.Matches[:q.Limit]
 		}
 		reply.Degraded = dedupSorted(reply.Degraded)
-		return reply
+		provenance.CollectorFrom(ctx).Add(peerSpans...)
+		return reply, nil
 	}
 
 	if follow == ontology.FollowLocal || hops <= 0 {
-		return done(), peerSpans, nil
+		return done()
 	}
 	target := q.Limit
 	if follow == ontology.FollowUntilMatch {
@@ -692,11 +675,11 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 			target = 1
 		}
 		if len(reply.Matches) >= target {
-			return done(), peerSpans, nil
+			return done()
 		}
 	}
 	if b.cfg.Propagation == OriginOnly && bq.Forwarded {
-		return done(), peerSpans, nil
+		return done()
 	}
 
 	// Select unvisited (and unpruned) peers.
@@ -738,7 +721,7 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 	if follow == ontology.FollowUntilMatch {
 		// Sequential: stop as soon as the target is met.
 		for _, p := range targets {
-			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited, traceID)
+			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited)
 			if err != nil {
 				reply.Degraded = append(reply.Degraded, p.name)
 				b.forwardOutcome(em, p.name, 0, err)
@@ -753,7 +736,7 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 				break
 			}
 		}
-		return done(), peerSpans, nil
+		return done()
 	}
 
 	// FollowAll: fan out concurrently (the paper: "forward the request
@@ -770,7 +753,7 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 		wg.Add(1)
 		go func(p peer) {
 			defer wg.Done()
-			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited, traceID)
+			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited)
 			if err != nil {
 				b.forwardOutcome(em, p.name, 0, err)
 				results <- result{degraded: []string{p.name}}
@@ -788,7 +771,7 @@ func (b *Broker) searchTraced(ctx context.Context, bq *kqml.BrokerQuery, traceID
 		reply.Degraded = append(reply.Degraded, r.degraded...)
 		peerSpans = append(peerSpans, r.spans...)
 	}
-	return done(), peerSpans, nil
+	return done()
 }
 
 // dedupSorted sorts and deduplicates a degraded-peer list in place, so the
@@ -837,7 +820,7 @@ func prunedPeer(info *ontology.BrokerInfo, q *ontology.Query) bool {
 	return false
 }
 
-func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, hopsLeft, depth int, visited []string, traceID string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
+func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, hopsLeft, depth int, visited []string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 	b.Stats.InterBrokerSent.Add(1)
 	mForwards.With(b.cfg.Name).Inc()
 	msg := kqml.New(kqml.AskAll, b.cfg.Name, &kqml.BrokerQuery{
@@ -848,7 +831,6 @@ func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, ho
 		Depth:     depth + 1,
 	})
 	msg.Ontology = kqml.ServiceOntology
-	msg.TraceID = traceID
 	start := time.Now()
 	reply, err := b.call(ctx, p.addr, msg)
 	stats.Queries.Observe(p.name, strings.Join(q.Classes, ","), time.Since(start), 0, err != nil)

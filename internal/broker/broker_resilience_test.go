@@ -2,12 +2,16 @@ package broker
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"infosleuth/internal/kqml"
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/resilience"
 	"infosleuth/internal/resilience/faulty"
+	"infosleuth/internal/telemetry"
 	"infosleuth/internal/transport"
 )
 
@@ -87,5 +91,83 @@ func TestHealthySearchReportsNoDegradation(t *testing.T) {
 	}
 	if len(br.Degraded) != 0 {
 		t.Errorf("healthy search degraded = %v, want none", br.Degraded)
+	}
+}
+
+// spanLog is a telemetry.SpanRecorder that keeps every entry it is handed
+// with its trace ID.
+type spanLog struct {
+	mu      sync.Mutex
+	entries []loggedSpan
+}
+
+type loggedSpan struct {
+	traceID string
+	kqml.TraceSpan
+}
+
+func (l *spanLog) RecordSpan(traceID string, s kqml.TraceSpan) {
+	l.mu.Lock()
+	l.entries = append(l.entries, loggedSpan{traceID, s})
+	l.mu.Unlock()
+}
+
+// agents lists, in order, the agents of the trace's spans with the op.
+func (l *spanLog) agents(traceID, op string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, e := range l.entries {
+		if e.traceID == traceID && e.Op == op {
+			out = append(out, e.Agent)
+		}
+	}
+	return out
+}
+
+// TestRetriedForwardIsTraced: a traced query's trace ID rides the context
+// the entry broker forwards under, so a forward the call policy retries
+// records its retry.attempt span in the query's trace.
+func TestRetriedForwardIsTraced(t *testing.T) {
+	tr := transport.NewInProc()
+	ft := faulty.Wrap(tr)
+	b1 := newTestBroker(t, ft, "Broker1", func(c *Config) {
+		c.CallPolicy = resilience.New(resilience.Options{
+			MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 1,
+		})
+	})
+	b2 := newTestBroker(t, tr, "Broker2")
+	if err := b1.JoinConsortium(context.Background(), b2.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	advertiseTo(t, tr, b2.Addr(), resourceAd("RA-remote", "C2"))
+
+	log := &spanLog{}
+	prev := telemetry.SetSpanRecorder(log)
+	defer telemetry.SetSpanRecorder(prev)
+	ft.Script(b2.Addr(), faulty.Drop())
+	msg := kqml.New(kqml.AskAll, "tester", &kqml.BrokerQuery{Query: &ontology.Query{
+		Type: ontology.TypeResource, Ontology: "generic", Classes: []string{"C2"},
+		Policy: ontology.SearchPolicy{HopCount: 1, Follow: ontology.FollowAll},
+	}})
+	msg.Ontology = kqml.ServiceOntology
+	msg.TraceID = "forward-trace"
+	reply, err := tr.Call(context.Background(), b1.Addr(), msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var br kqml.BrokerReply
+	if err := reply.DecodeContent(&br); err != nil {
+		t.Fatal(err)
+	}
+	if names := matchNames(&br); len(names) != 1 || names[0] != "RA-remote" {
+		t.Fatalf("matches = %v, want the retried forward's [RA-remote]", names)
+	}
+	if got := log.agents("forward-trace", telemetry.OpRetryAttempt); len(got) != 1 || got[0] != b2.Addr() {
+		t.Errorf("retry.attempt spans = %v, want one for %s", got, b2.Addr())
+	}
+	got := log.agents("forward-trace", kqml.OpBrokerSearch)
+	if !slices.Contains(got, "Broker1") || !slices.Contains(got, "Broker2") {
+		t.Errorf("broker.search spans from %v, want both brokers", got)
 	}
 }

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -396,8 +395,8 @@ func TestExplainStillListsRejections(t *testing.T) {
 	if got := namesOf(b.repo.candidates(b.cfg.World, q)); len(got) != 2 {
 		t.Fatalf("the matcher's candidates are %v, want only the two ads in range", got)
 	}
-	ctx, collector := provenance.WithCollector(context.Background())
-	b.emitMatchProvenance(provenance.For(ctx, "trace-1"), q, false, 0)
+	ctx, collector := provenance.Receive(&kqml.Message{TraceID: "trace-1"})
+	b.emitMatchProvenance(provenance.For(ctx), q, false, 0)
 	got := map[string]string{}
 	for _, s := range collector.Entries() {
 		if ev := s.Decision; ev != nil && ev.Kind == kqml.ProvMatch {

@@ -156,8 +156,9 @@ type fetchFailure struct {
 // doing their job, since the replica's rows are already in the result set
 // and MergeFragments deduplicates the union. Only uncovered failures come
 // back, sorted by agent name.
-func (a *Agent) fetchFragments(ctx context.Context, plan *fetchPlan, matches []*ontology.Advertisement, traceID string) ([]*kqml.SQLResult, []fetchFailure) {
-	em := provenance.For(ctx, traceID)
+func (a *Agent) fetchFragments(ctx context.Context, plan *fetchPlan, matches []*ontology.Advertisement) ([]*kqml.SQLResult, []fetchFailure) {
+	traceID := telemetry.TraceIDFrom(ctx)
+	em := provenance.For(ctx)
 	if em != nil {
 		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name, Pushdown: a.pushdownDecision(plan)})
 	}
@@ -165,7 +166,7 @@ func (a *Agent) fetchFragments(ctx context.Context, plan *fetchPlan, matches []*
 	results := make([]*kqml.SQLResult, n)
 	errs := a.gather(ctx, n, func(i int) error {
 		sql, pushed, projCols, fullCols := plan.sqlFor(matches[i])
-		sr, bytes, fallback, err := a.fetch(ctx, plan.class, sql, pushed, matches[i], traceID)
+		sr, bytes, fallback, err := a.fetch(ctx, plan.class, sql, pushed, matches[i])
 		if err == nil && !fallback && projCols > 0 && fullCols > projCols {
 			// The unpushed reply would have carried all advertised columns
 			// at roughly proportional size; credit the difference.
@@ -335,7 +336,8 @@ func (a *Agent) gather(ctx context.Context, n int, fetch func(i int) error) []er
 // whose advertisement overstates its columns — is asked for its whole
 // fragment instead, and fallback reports that the reply is that raw
 // fragment. bytes is the reply's content size.
-func (a *Agent) fetch(ctx context.Context, class, sql string, pushed bool, ad *ontology.Advertisement, traceID string) (sr *kqml.SQLResult, bytes int64, fallback bool, err error) {
+func (a *Agent) fetch(ctx context.Context, class, sql string, pushed bool, ad *ontology.Advertisement) (sr *kqml.SQLResult, bytes int64, fallback bool, err error) {
+	traceID := telemetry.TraceIDFrom(ctx)
 	mFanoutInflight.Add(1)
 	mFetchTotal.Inc()
 	start := time.Now()
@@ -345,21 +347,21 @@ func (a *Agent) fetch(ctx context.Context, class, sql string, pushed bool, ad *o
 			mFetchErrors.Inc()
 		}
 		if traceID != "" {
-			a.recordSpan(traceID, telemetry.OpMRQFetch, start, err)
+			a.recordSpan(traceID, telemetry.OpMRQFetch, start, &err)
 		}
 	}()
-	reply, err := a.ask(ctx, ad, sql, traceID)
+	reply, err := a.ask(ctx, ad, sql)
 	if err == nil && pushed && reply.Performative != kqml.Tell {
 		mPushdownFallbacks.Inc()
 		fallback = true
-		reply, err = a.ask(ctx, ad, "SELECT * FROM "+class, traceID)
+		reply, err = a.ask(ctx, ad, "SELECT * FROM "+class)
 	}
 	if err == nil {
 		bytes = int64(len(reply.Content))
 	}
 	latency := time.Since(start)
 	a.plannerStats().Observe(ad.Name, class, latency, bytes, err != nil)
-	if em := provenance.For(ctx, traceID); em != nil {
+	if em := provenance.For(ctx); em != nil {
 		fr := &kqml.FetchReport{
 			Resource:      ad.Name,
 			Class:         class,
@@ -391,10 +393,9 @@ func (a *Agent) fetch(ctx context.Context, class, sql string, pushed bool, ad *o
 	return sr, bytes, fallback, nil
 }
 
-func (a *Agent) ask(ctx context.Context, ad *ontology.Advertisement, sql, traceID string) (*kqml.Message, error) {
+func (a *Agent) ask(ctx context.Context, ad *ontology.Advertisement, sql string) (*kqml.Message, error) {
 	msg := kqml.New(kqml.AskAll, a.cfg.Name, &kqml.SQLQuery{SQL: sql})
 	msg.Language = ontology.LangSQL2
 	msg.Receiver = ad.Name
-	msg.TraceID = traceID
 	return a.Call(ctx, ad.Address, msg)
 }

@@ -161,23 +161,15 @@ func (a *Agent) handle(msg *kqml.Message) *kqml.Message {
 		// a traced run also gathers the decisions made along the way
 		// (pushdown plans, failovers, plus whatever brokers and resources
 		// reported on their replies) to ride back on this reply.
-		ctx := telemetry.WithTraceID(context.Background(), msg.TraceID)
-		var col *provenance.Collector
-		if msg.TraceID != "" {
-			ctx, col = provenance.WithCollector(ctx)
-		}
+		ctx, col := provenance.Receive(msg)
 		res, status, err := a.RunWithStatus(ctx, sq.SQL)
+		var reply *kqml.Message
 		if err != nil {
-			reply := a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: err.Error()})
-			reply.Trace = kqml.AppendSpans(nil, col.Entries()...)
-			return reply
+			reply = a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: err.Error()})
+		} else {
+			reply = a.Reply(msg, kqml.Tell, &kqml.SQLResult{Columns: res.Columns, Rows: res.Rows,
+				Partial: status.Partial, Degraded: status.Degraded})
 		}
-		out := &kqml.SQLResult{Columns: res.Columns, Rows: res.Rows}
-		if status.Partial {
-			out.Partial = true
-			out.Degraded = status.Degraded
-		}
-		reply := a.Reply(msg, kqml.Tell, out)
 		reply.Trace = kqml.AppendSpans(nil, col.Entries()...)
 		return reply
 	default:
@@ -230,7 +222,7 @@ func (a *Agent) RunWithStatus(ctx context.Context, sql string) (*sqlparse.Result
 	res, status, err := a.run(ctx, sql)
 	dur := time.Since(start)
 	if traceID != "" {
-		a.recordSpan(traceID, telemetry.OpMRQRun, start, err)
+		a.recordSpan(traceID, telemetry.OpMRQRun, start, &err)
 	}
 	if observe {
 		telemetry.ObserveRoot(telemetry.RootOutcome{
@@ -250,17 +242,16 @@ func (a *Agent) RunWithStatus(ctx context.Context, sql string) (*sqlparse.Result
 // the statement locally. Config.Planner changes only what the plan
 // decides, never which of these steps run.
 func (a *Agent) run(ctx context.Context, sql string) (*sqlparse.Result, *Status, error) {
-	traceID := telemetry.TraceIDFrom(ctx)
-	qp, err := a.plan(ctx, sql, traceID)
+	qp, err := a.plan(ctx, sql)
 	if err != nil {
 		return nil, nil, err
 	}
 	stmt, classes := qp.stmt, qp.classes
-	em := provenance.For(ctx, traceID)
+	em := provenance.For(ctx)
 	a.emitPlan(em, qp, false)
 
 	if qp.agg != nil {
-		if res, ok := a.runAggregatePush(ctx, qp, traceID); ok {
+		if res, ok := a.runAggregatePush(ctx, qp); ok {
 			return res, &Status{}, nil
 		}
 		mPlanFallbacks.Inc()
@@ -280,7 +271,7 @@ func (a *Agent) run(ctx context.Context, sql string) (*sqlparse.Result, *Status,
 	probeIdx := -1
 	if sj := qp.sj; sj != nil {
 		buildClass, probeClass := classes[sj.buildIdx], classes[sj.probeIdx]
-		t, note, err := a.assembleLocated(ctx, buildClass, stmt, qp.byClass[sj.buildIdx].matches, nil, traceID)
+		t, note, err := a.assemble(ctx, buildClass, stmt, qp.byClass[sj.buildIdx].matches, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -317,7 +308,7 @@ func (a *Agent) run(ctx context.Context, sql string) (*sqlparse.Result, *Status,
 		if i == probeIdx {
 			extra = probeExtra
 		}
-		t, note, err := a.assembleLocated(ctx, classes[i], stmt, qp.byClass[i].matches, extra, traceID)
+		t, note, err := a.assemble(ctx, classes[i], stmt, qp.byClass[i].matches, extra)
 		tables[i], notes[i] = t, note
 		return err
 	})
@@ -406,30 +397,23 @@ func (a *Agent) locateClass(ctx context.Context, class string, pushed *constrain
 	return br.Matches, nil
 }
 
-// assembleLocated fetches and merges one class's fragments from its
+// assemble fetches and merges one class's fragments from its
 // located matches, under an mrq.assemble span on traced runs. extra conds
 // (a semi-join's IN constraint) are appended to every fragment query. The
 // degradation note is non-nil when fragment data was lost with no covering
 // replica (the table may then be incomplete, or — when every resource
 // failed — empty).
-func (a *Agent) assembleLocated(ctx context.Context, class string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond, traceID string) (*relational.Table, *kqml.ClassDegradation, error) {
-	if traceID == "" {
-		return a.assemble(ctx, class, stmt, matches, extra, traceID)
+func (a *Agent) assemble(ctx context.Context, class string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond) (_ *relational.Table, _ *kqml.ClassDegradation, err error) {
+	if traceID := telemetry.TraceIDFrom(ctx); traceID != "" {
+		defer a.recordSpan(traceID, telemetry.OpMRQAssemble, time.Now(), &err)
 	}
-	start := time.Now()
-	table, note, err := a.assemble(ctx, class, stmt, matches, extra, traceID)
-	a.recordSpan(traceID, telemetry.OpMRQAssemble, start, err)
-	return table, note, err
-}
-
-func (a *Agent) assemble(ctx context.Context, class string, stmt *sqlparse.Select, matches []*ontology.Advertisement, extra []sqlparse.Cond, traceID string) (*relational.Table, *kqml.ClassDegradation, error) {
 	fp := a.planFetch(class, stmt, matches)
 	// extra conds come from the planner (a semi-join's IN constraint on
 	// the probe side); they are always sound to push — a row they filter
 	// could never survive the local join — so they bypass the uniform
 	// coverage check.
 	fp.conds = append(fp.conds, extra...)
-	results, lost := a.fetchFragments(ctx, &fp, matches, traceID)
+	results, lost := a.fetchFragments(ctx, &fp, matches)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, fmt.Errorf("mrq %s: assembling class %s: %w", a.cfg.Name, class, err)
 	}
@@ -460,16 +444,16 @@ func (a *Agent) assemble(ctx context.Context, class string, stmt *sqlparse.Selec
 }
 
 // recordSpan records one of the MRQ's own timing spans, from start to
-// now, under a traced run.
-func (a *Agent) recordSpan(traceID, op string, start time.Time, err error) {
+// now, under a traced run; deferred, it reads the error when it runs.
+func (a *Agent) recordSpan(traceID, op string, start time.Time, err *error) {
 	span := kqml.TraceSpan{
 		Agent:          a.cfg.Name,
 		Op:             op,
 		Start:          start.UnixNano(),
 		DurationMicros: time.Since(start).Microseconds(),
 	}
-	if err != nil {
-		span.Err = err.Error()
+	if *err != nil {
+		span.Err = (*err).Error()
 	}
 	telemetry.RecordSpan(traceID, span)
 }

@@ -62,7 +62,7 @@ type queryPlan struct {
 
 // plan parses the statement and builds its plan, under an mrq.plan span
 // on traced runs.
-func (a *Agent) plan(ctx context.Context, sql, traceID string) (*queryPlan, error) {
+func (a *Agent) plan(ctx context.Context, sql string) (_ *queryPlan, err error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -71,13 +71,10 @@ func (a *Agent) plan(ctx context.Context, sql, traceID string) (*queryPlan, erro
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("mrq %s: query references no classes", a.cfg.Name)
 	}
-	if traceID == "" {
-		return a.buildPlan(ctx, stmt, classes)
+	if traceID := telemetry.TraceIDFrom(ctx); traceID != "" {
+		defer a.recordSpan(traceID, telemetry.OpMRQPlan, time.Now(), &err)
 	}
-	start := time.Now()
-	qp, err := a.buildPlan(ctx, stmt, classes)
-	a.recordSpan(traceID, telemetry.OpMRQPlan, start, err)
-	return qp, err
+	return a.buildPlan(ctx, stmt, classes)
 }
 
 // buildPlan locates every class's resources (concurrently, first error
@@ -378,13 +375,13 @@ func renderableKey(v constraint.Value) bool {
 // computed here; any other failed fetch abandons the push (ok=false) and
 // the caller assembles the class in full, which has the failover
 // machinery.
-func (a *Agent) runAggregatePush(ctx context.Context, qp *queryPlan, traceID string) (*sqlparse.Result, bool) {
+func (a *Agent) runAggregatePush(ctx context.Context, qp *queryPlan) (*sqlparse.Result, bool) {
 	cp := &qp.byClass[0]
 	fp := a.planFetch(cp.class, qp.stmt, cp.matches)
 	sql := qp.agg.FragmentSQL(cp.class, fp.conds)
 	partials := make([]*sqlparse.Result, len(cp.matches))
 	errs := a.gather(ctx, len(cp.matches), func(i int) error {
-		sr, _, fallback, err := a.fetch(ctx, cp.class, sql, true, cp.matches[i], traceID)
+		sr, _, fallback, err := a.fetch(ctx, cp.class, sql, true, cp.matches[i])
 		if err != nil {
 			return err
 		}
@@ -422,7 +419,7 @@ func (a *Agent) runAggregatePush(ctx context.Context, qp *queryPlan, traceID str
 		}
 	}
 	mPlanAggPushdowns.Inc()
-	if em := provenance.For(ctx, traceID); em != nil {
+	if em := provenance.For(ctx); em != nil {
 		em.Emit(kqml.ProvEvent{Kind: kqml.ProvPlan, Agent: a.cfg.Name,
 			Plan: &kqml.PlanDecision{Class: cp.class, Aggregates: qp.agg.Items()}})
 	}
@@ -434,11 +431,10 @@ func (a *Agent) runAggregatePush(ctx context.Context, qp *queryPlan, traceID str
 // sets), then the chosen fan-out order, pushdown shape, and rewrites are
 // emitted as provenance for `isquery -plan`.
 func (a *Agent) Plan(ctx context.Context, sql string) error {
-	traceID := telemetry.TraceIDFrom(ctx)
-	qp, err := a.plan(ctx, sql, traceID)
+	qp, err := a.plan(ctx, sql)
 	if err != nil {
 		return err
 	}
-	a.emitPlan(provenance.For(ctx, traceID), qp, true)
+	a.emitPlan(provenance.For(ctx), qp, true)
 	return nil
 }

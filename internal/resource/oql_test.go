@@ -155,3 +155,77 @@ func TestBilingualResourceAgent(t *testing.T) {
 		t.Errorf("SQL %d rows vs OQL %d rows", r1.Len(), r2.Len())
 	}
 }
+
+// newBilingual starts an agent speaking SQL first and OQL second, over C2.
+func newBilingual(t *testing.T, caps ...string) (*Agent, transport.Transport) {
+	t.Helper()
+	return newResource(t, func(c *Config) {
+		c.Name = "Bilingual"
+		c.ContentLanguages = []string{ontology.LangSQL2, ontology.LangOQL}
+		c.Capabilities = caps
+	})
+}
+
+// TestOQLSubscribe: a subscribe honours the message's content language
+// like an ask does. The standing query is parsed, indexed and re-evaluated
+// in OQL on an agent whose primary language is SQL.
+func TestOQLSubscribe(t *testing.T) {
+	ra, tr := newBilingual(t)
+	col := newCollector(t, tr)
+	msg := kqml.New(kqml.Subscribe, "collector", &kqml.SubscribeContent{
+		SQL:               "select x.id from x in C2 where x.a >= 0",
+		SubscriberName:    "collector",
+		SubscriberAddress: col.addr,
+	})
+	msg.Language = ontology.LangOQL
+	reply, err := tr.Call(context.Background(), ra.Addr(), msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Performative != kqml.Tell {
+		t.Fatalf("OQL subscribe = %s: %s", reply.Performative, kqml.ReasonOf(reply))
+	}
+	var ack kqml.SubscribeAck
+	if err := reply.DecodeContent(&ack); err != nil {
+		t.Fatal(err)
+	}
+	if len(ack.Initial.Rows) != 20 {
+		t.Fatalf("baseline rows = %d, want 20", len(ack.Initial.Rows))
+	}
+	if err := ra.InsertRow(context.Background(), "C2", relational.Row{
+		relational.Str("C2-oql"), relational.Num(1), relational.Num(2), relational.Num(3), relational.Num(4),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flushSubs(t, ra)
+	updates := col.list()
+	if len(updates) != 1 || len(updates[0].Result.Rows) != 21 {
+		t.Fatalf("updates = %+v, want one 21-row update re-evaluated in OQL", updates)
+	}
+}
+
+// TestOQLRefusalNamesClass: a traced OQL query refused for a capability
+// beyond the advertisement reports a pushdown decision naming the class
+// it asked for, read from the statement parsed in the query's language.
+func TestOQLRefusalNamesClass(t *testing.T) {
+	ra, tr := newBilingual(t, ontology.CapSelect, ontology.CapProject)
+	msg := kqml.New(kqml.AskAll, "tester", &kqml.SQLQuery{SQL: "select count(*) from x in C2"})
+	msg.Language = ontology.LangOQL
+	msg.TraceID = "refusal-trace"
+	reply, err := tr.Call(context.Background(), ra.Addr(), msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Performative != kqml.Error || !strings.Contains(kqml.ReasonOf(reply), "beyond advertisement") {
+		t.Fatalf("reply = %s: %s, want a capability refusal", reply.Performative, kqml.ReasonOf(reply))
+	}
+	var classes []string
+	for _, s := range reply.Trace {
+		if s.Decision != nil && s.Decision.Pushdown != nil {
+			classes = append(classes, s.Decision.Pushdown.Class)
+		}
+	}
+	if len(classes) != 1 || classes[0] != "C2" {
+		t.Fatalf("refusal decisions name classes %q, want [C2]", classes)
+	}
+}

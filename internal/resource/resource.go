@@ -197,12 +197,16 @@ func (a *Agent) handleQuery(msg *kqml.Message) *kqml.Message {
 	if err := msg.DecodeContent(&sq); err != nil {
 		return a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: kqml.SorryReasonMalformedQuery})
 	}
-	lang := msg.Language
-	if lang == "" {
-		lang = a.cfg.ContentLanguages[0]
-	}
 	start := time.Now()
-	res, err := a.RunIn(lang, sq.SQL)
+	stmt, err := a.compile(a.language(msg), sq.SQL)
+	var class string // asked for, read before execute retargets a superclass
+	var res *sqlparse.Result
+	if stmt != nil {
+		class = stmt.From[0].Name
+	}
+	if err == nil {
+		res, err = a.execute(stmt)
+	}
 	var reply *kqml.Message
 	if err != nil {
 		reply = a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: err.Error()})
@@ -213,7 +217,7 @@ func (a *Agent) handleQuery(msg *kqml.Message) *kqml.Message {
 			// advertisement, unserved class, unsupported language, parse
 			// error). Error path only — accepted queries stay untouched.
 			d := provenance.Decision(kqml.ProvEvent{Kind: kqml.ProvPushdown, Agent: a.cfg.Name,
-				Pushdown: &kqml.PushdownDecision{Class: queriedClass(sq.SQL), Fallback: err.Error()}})
+				Pushdown: &kqml.PushdownDecision{Class: class, Fallback: err.Error()}})
 			kqml.PropagateTrace(msg, reply, d)
 			telemetry.RecordSpan(msg.TraceID, d)
 		}
@@ -252,13 +256,32 @@ func (a *Agent) Run(query string) (*sqlparse.Result, error) {
 	return a.RunIn(a.cfg.ContentLanguages[0], query)
 }
 
-// RunIn parses a query in the named content language (SQL 2.0 or OQL) and
-// executes it against the agent's data, after checking the statement stays
-// inside the advertised capability lattice and classes. A language the
-// agent did not advertise is rejected — the syntactic half of the paper's
-// brokering: a mis-brokered agent "will be unable to understand the
-// message it receives".
+// RunIn parses a query in the named content language (SQL 2.0 or OQL),
+// checks it, and executes it against the agent's data.
 func (a *Agent) RunIn(language, query string) (*sqlparse.Result, error) {
+	stmt, err := a.compile(language, query)
+	if err != nil {
+		return nil, err
+	}
+	return a.execute(stmt)
+}
+
+// language is the content language msg's statement is written in: the
+// message's own, or the agent's primary one when it names none.
+func (a *Agent) language(msg *kqml.Message) string {
+	if msg.Language != "" {
+		return msg.Language
+	}
+	return a.cfg.ContentLanguages[0]
+}
+
+// compile parses a statement in the named content language and checks it
+// stays inside the advertised capability lattice and classes; every
+// statement the agent runs comes through here. A language the agent did
+// not advertise is rejected — the syntactic half of the paper's brokering:
+// a mis-brokered agent "will be unable to understand the message it
+// receives". A statement failing a check comes back with the error.
+func (a *Agent) compile(language, query string) (*sqlparse.Select, error) {
 	if !a.speaks(language) {
 		return nil, fmt.Errorf("resource %s: content language %q not supported (speaks %s)",
 			a.cfg.Name, language, strings.Join(a.cfg.ContentLanguages, ", "))
@@ -281,7 +304,7 @@ func (a *Agent) RunIn(language, query string) (*sqlparse.Result, error) {
 	h := ontology.DefaultHierarchy()
 	for _, need := range stmt.Capabilities() {
 		if !h.Satisfies(a.cfg.Capabilities, need) {
-			return nil, fmt.Errorf("resource %s: query needs capability %q beyond advertisement", a.cfg.Name, need)
+			return stmt, fmt.Errorf("resource %s: query needs capability %q beyond advertisement", a.cfg.Name, need)
 		}
 	}
 	// Class check: only advertised classes are queryable — directly, or
@@ -291,29 +314,30 @@ func (a *Agent) RunIn(language, query string) (*sqlparse.Result, error) {
 		if a.servesClass(table) {
 			continue
 		}
-		sub, ok := a.servedSubclassOf(table)
-		if !ok {
-			return nil, fmt.Errorf("resource %s: class %q not served", a.cfg.Name, table)
+		if _, ok := a.servedSubclassOf(table); !ok {
+			return stmt, fmt.Errorf("resource %s: class %q not served", a.cfg.Name, table)
 		}
-		stmt = rewriteForSubclass(stmt, table, sub, a.superclassSlots(table, sub))
+	}
+	return stmt, nil
+}
+
+// execute runs a compiled statement against the agent's data, retargeting
+// (in place) each superclass it reads onto the served subclass.
+func (a *Agent) execute(stmt *sqlparse.Select) (*sqlparse.Result, error) {
+	for cur := stmt; cur != nil; cur = cur.Union {
+		for _, from := range cur.From {
+			if a.servesClass(from.Name) {
+				continue
+			}
+			if sub, ok := a.servedSubclassOf(from.Name); ok {
+				rewriteForSubclass(stmt, from.Name, sub, a.superclassSlots(from.Name, sub))
+			}
+		}
 	}
 	if d := a.cfg.QueryDelayPerRow; d > 0 {
 		time.Sleep(time.Duration(a.cfg.DB.TotalRows()) * d)
 	}
 	return sqlparse.Execute(a.cfg.DB, stmt)
-}
-
-// queriedClass best-effort extracts the first table a statement names, for
-// labeling rejection provenance; returns "" when the statement won't parse.
-func queriedClass(sql string) string {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return ""
-	}
-	if tables := stmt.Tables(); len(tables) > 0 {
-		return tables[0]
-	}
-	return ""
 }
 
 // servedSubclassOf finds a served class that is a subclass of the request.
@@ -351,9 +375,9 @@ func (a *Agent) superclassSlots(super, sub string) []string {
 }
 
 // rewriteForSubclass retargets references to a superclass table onto the
-// served subclass, and narrows a SELECT * to the superclass's slots so
+// served subclass, in place, and narrows a SELECT * to the superclass's slots so
 // unioning across sibling subclasses yields uniform columns.
-func rewriteForSubclass(stmt *sqlparse.Select, super, sub string, slots []string) *sqlparse.Select {
+func rewriteForSubclass(stmt *sqlparse.Select, super, sub string, slots []string) {
 	for cur := stmt; cur != nil; cur = cur.Union {
 		changed := false
 		for i := range cur.From {
@@ -369,7 +393,6 @@ func rewriteForSubclass(stmt *sqlparse.Select, super, sub string, slots []string
 			}
 		}
 	}
-	return stmt
 }
 
 // speaks reports whether the agent advertised the content language.

@@ -13,8 +13,6 @@ import (
 	"infosleuth/internal/broadcast"
 	"infosleuth/internal/constraint"
 	"infosleuth/internal/kqml"
-	"infosleuth/internal/ontology"
-	"infosleuth/internal/oql"
 	"infosleuth/internal/relational"
 	"infosleuth/internal/sqlparse"
 	"infosleuth/internal/telemetry"
@@ -46,6 +44,7 @@ const notifyLogSize = 256
 type subscription struct {
 	id   string
 	sql  string
+	lang string // sql's content language, which every re-evaluation parses
 	name string
 	addr string
 	// classes lists the lowercased served classes the query reads; empty
@@ -94,64 +93,66 @@ func (a *Agent) subs() *subscriptions {
 
 // handleSubscribe registers a standing query (the subscribe conversation
 // the agent advertises) and returns the current answer as the baseline.
-// The query is indexed at registration: the classes it reads and its
-// pushable constraint region decide which change events reach it.
+// The query is parsed in the message's content language (the primary one
+// when it names none) and indexed at registration: the classes it reads
+// and its pushable constraint region decide which change events reach it.
 func (a *Agent) handleSubscribe(msg *kqml.Message) *kqml.Message {
 	var sc kqml.SubscribeContent
 	if err := msg.DecodeContent(&sc); err != nil || sc.SQL == "" || sc.SubscriberAddress == "" {
 		return a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: kqml.SorryReasonMalformedSubscription})
 	}
-	res, err := a.Run(sc.SQL)
+	lang := a.language(msg)
+	stmt, err := a.compile(lang, sc.SQL)
 	if err != nil {
 		return a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: err.Error()})
 	}
-	classes, region := a.indexStandingQuery(sc.SQL)
-	s := a.subs()
-	s.mu.Lock()
-	s.next++
+	// Index before execute retargets a superclass onto its subclass.
+	classes, region := a.indexStandingQuery(stmt)
+	res, err := a.execute(stmt)
+	if err != nil {
+		return a.Reply(msg, kqml.Error, &kqml.SorryContent{Reason: err.Error()})
+	}
 	sub := &subscription{
-		id:       fmt.Sprintf("%s-sub-%d", a.Name(), s.next),
 		sql:      sc.SQL,
+		lang:     lang,
 		name:     sc.SubscriberName,
 		addr:     sc.SubscriberAddress,
 		classes:  classes,
 		region:   region,
 		lastHash: resultHash(res),
 	}
-	s.byID[sub.id] = sub
-	s.mu.Unlock()
+	// The hub registration is in place before the id is published, so an
+	// unsubscribe racing this one always finds it to close.
+	s := a.subs()
+	s.mu.Lock()
+	s.next++
+	sub.id = fmt.Sprintf("%s-sub-%d", a.Name(), s.next)
 	sub.sub = s.hub.Subscribe(sub.id, classes, region, func(b broadcast.Batch) {
 		a.deliverBatch(sub, b)
 	})
+	s.byID[sub.id] = sub
+	s.mu.Unlock()
 	return a.Reply(msg, kqml.Tell, &kqml.SubscribeAck{
 		ID:      sub.id,
 		Initial: kqml.SQLResult{Columns: res.Columns, Rows: res.Rows},
 	})
 }
 
-// indexStandingQuery derives a subscription's index entry from its query:
-// the lowercased served classes whose changes can affect it and its
-// pushable constraint region (sqlparse.WhereConstraints). A (nil, nil)
-// return routes the subscription to the evaluate-all tier.
+// indexStandingQuery derives a subscription's index entry from its
+// compiled query: the lowercased served classes whose changes can affect
+// it and its pushable constraint region (sqlparse.WhereConstraints). A
+// (nil, nil) return routes the subscription to the evaluate-all tier.
 //
 // Soundness: skipping a re-evaluation is only safe when the changed rows
 // provably cannot alter the query's answer. A changed row failing any
 // literal WHERE conjunct never participates in the result (including
 // aggregates), and WhereConstraints under-approximates the WHERE clause
 // (conjuncts it cannot express are dropped), so the region is a superset
-// of the satisfiable rows — overlap errs toward re-evaluating. Two cases
-// cannot be indexed and fall back: UNION queries (WhereConstraints
-// conjoins the branches, which would over-narrow the region) and queries
-// that fail to parse here despite executing.
-func (a *Agent) indexStandingQuery(query string) ([]string, *constraint.Set) {
-	var stmt *sqlparse.Select
-	var err error
-	if strings.EqualFold(a.cfg.ContentLanguages[0], ontology.LangOQL) {
-		stmt, err = oql.Parse(query)
-	} else {
-		stmt, err = sqlparse.Parse(query)
-	}
-	if err != nil || stmt.Union != nil {
+// of the satisfiable rows — overlap errs toward re-evaluating. UNION
+// queries cannot be indexed and fall back: WhereConstraints conjoins the
+// branches, which would over-narrow the region.
+func (a *Agent) indexStandingQuery(stmt *sqlparse.Select) ([]string, *constraint.Set) {
+	if stmt.Union != nil {
 		return nil, nil
 	}
 	var classes []string
@@ -302,7 +303,7 @@ func (a *Agent) FlushNotifications(ctx context.Context) error {
 func (a *Agent) deliverBatch(sub *subscription, b broadcast.Batch) {
 	last := b.Last()
 	start := time.Now()
-	res, err := a.Run(sub.sql)
+	res, err := a.RunIn(sub.lang, sub.sql)
 	mSubscriptionEvals.Inc()
 	sub.mu.Lock()
 	sub.evals++
@@ -328,10 +329,7 @@ func (a *Agent) deliverBatch(sub *subscription, b broadcast.Batch) {
 				Coalesced:      b.Coalesced,
 			})
 			msg.Receiver = sub.name
-			ctx := context.Background()
-			if last.TraceID != "" {
-				ctx = telemetry.WithTraceID(ctx, last.TraceID)
-			}
+			ctx := telemetry.WithTraceID(context.Background(), last.TraceID)
 			_, callErr = a.Call(ctx, sub.addr, msg)
 			sub.mu.Lock()
 			if callErr != nil {
@@ -389,9 +387,7 @@ func (a *Agent) unsubscribe(id string) bool {
 	if !ok {
 		return false
 	}
-	if sub.sub != nil {
-		sub.sub.Close()
-	}
+	sub.sub.Close()
 	return true
 }
 
@@ -534,9 +530,7 @@ func (a *Agent) SubsHandler() http.Handler {
 				Indexed:    len(sub.classes) > 0,
 				Classes:    sub.classes,
 			}
-			if sub.sub != nil {
-				info.Queued, info.Coalesced, info.Dropped = sub.sub.QueueStats()
-			}
+			info.Queued, info.Coalesced, info.Dropped = sub.sub.QueueStats()
 			sub.mu.Lock()
 			info.Evals, info.Updates, info.Errors, info.LastSeq = sub.evals, sub.updates, sub.errors, sub.lastSeq
 			sub.mu.Unlock()

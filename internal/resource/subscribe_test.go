@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/relational"
 	"infosleuth/internal/sqlparse"
+	"infosleuth/internal/telemetry"
 	"infosleuth/internal/transport"
 )
 
@@ -581,5 +583,132 @@ func TestSuperclassStandingQueryIndexedUnderSubclass(t *testing.T) {
 	flushSubs(t, ra)
 	if n := len(col.list()); n != 1 {
 		t.Fatalf("superclass standing query updates = %d, want 1", n)
+	}
+}
+
+// spanLog is a telemetry.SpanRecorder that keeps every entry it is handed
+// with its trace ID.
+type spanLog struct {
+	mu      sync.Mutex
+	entries []loggedSpan
+}
+
+type loggedSpan struct {
+	traceID string
+	kqml.TraceSpan
+}
+
+func (l *spanLog) RecordSpan(traceID string, s kqml.TraceSpan) {
+	l.mu.Lock()
+	l.entries = append(l.entries, loggedSpan{traceID, s})
+	l.mu.Unlock()
+}
+
+// agents lists, in order, the agents of the trace's spans with the op.
+func (l *spanLog) agents(traceID, op string) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []string
+	for _, e := range l.entries {
+		if e.traceID == traceID && e.Op == op {
+			out = append(out, e.Agent)
+		}
+	}
+	return out
+}
+
+// TestTracedInsertTracesNotification: a traced insert's trace ID rides the
+// update it causes, so the trace holds the notification's rpc.call span
+// beside the re-evaluation, and the subscriber is handed a traced update.
+func TestTracedInsertTracesNotification(t *testing.T) {
+	ra, tr := newResource(t)
+	var (
+		mu       sync.Mutex
+		received []string
+	)
+	l, err := tr.Listen("", func(msg *kqml.Message) *kqml.Message {
+		mu.Lock()
+		received = append(received, msg.TraceID)
+		mu.Unlock()
+		return kqml.New(kqml.Tell, "listener", &kqml.UpdateAck{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	subscribe(t, tr, ra, l.Addr(), "SELECT * FROM C2")
+
+	log := &spanLog{}
+	prev := telemetry.SetSpanRecorder(log)
+	defer telemetry.SetSpanRecorder(prev)
+	ctx := telemetry.WithTraceID(context.Background(), "insert-trace")
+	if err := ra.InsertRow(ctx, "C2", relational.Row{
+		relational.Str("C2-t"), relational.Num(1), relational.Num(2), relational.Num(3), relational.Num(4),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flushSubs(t, ra)
+	if got := log.agents("insert-trace", telemetry.OpSubscribeEval); len(got) != 1 {
+		t.Errorf("subscribe.eval spans = %v, want one", got)
+	}
+	if got := log.agents("insert-trace", telemetry.OpRPCCall); len(got) != 1 || got[0] != ra.Name() {
+		t.Errorf("rpc.call spans = %v, want the notification's from %s", got, ra.Name())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(received) != 1 || received[0] != "insert-trace" {
+		t.Errorf("subscriber received updates traced %q, want [insert-trace]", received)
+	}
+}
+
+// TestUnsubscribeRacingSubscribe: subscription ids are predictable, so an
+// unsubscribe may arrive while the subscribe that mints the id is still
+// running. Spinning on the predicted id must still leave no hub
+// registration behind and no update after a later insert.
+func TestUnsubscribeRacingSubscribe(t *testing.T) {
+	ra, tr := newResource(t)
+	col := newCollector(t, tr)
+	id := ra.Name() + "-sub-1"
+	stop := make(chan struct{})
+	removed := make(chan bool, 1)
+	go func() {
+		for {
+			if ra.unsubscribe(id) {
+				removed <- true
+				return
+			}
+			select {
+			case <-stop:
+				removed <- false
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	if ack := subscribe(t, tr, ra, col.addr, "SELECT * FROM C2"); ack.ID != id {
+		close(stop)
+		t.Fatalf("subscription id %q, predicted %q", ack.ID, id)
+	}
+	select {
+	case ok := <-removed:
+		if !ok {
+			t.Fatal("the unsubscribe never found the subscription")
+		}
+	case <-time.After(5 * time.Second):
+		close(stop)
+		t.Fatal("the unsubscribe never found the subscription")
+	}
+	if n := ra.subs().hub.Stats().Subscribers; n != 0 {
+		t.Fatalf("hub holds %d subscribers after unsubscribe, want 0", n)
+	}
+	if err := ra.InsertRow(context.Background(), "C2", relational.Row{
+		relational.Str("C2-r"), relational.Num(1), relational.Num(2), relational.Num(3), relational.Num(4),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	flushSubs(t, ra)
+	if n := len(col.list()); n != 0 {
+		t.Fatalf("unsubscribed standing query delivered %d updates", n)
 	}
 }

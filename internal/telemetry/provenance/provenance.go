@@ -78,25 +78,31 @@ func (c *Collector) Entries() []kqml.TraceSpan {
 
 type collectorKey struct{}
 
-// WithCollector returns a context carrying a fresh Collector, and the
-// collector itself. Handlers install one per traced request; producers
-// down the call chain find it via For.
-func WithCollector(ctx context.Context) (context.Context, *Collector) {
-	c := &Collector{}
-	return context.WithValue(ctx, collectorKey{}, c), c
-}
-
 // CollectorFrom returns the context's collector, or nil.
 func CollectorFrom(ctx context.Context) *Collector {
 	c, _ := ctx.Value(collectorKey{}).(*Collector)
 	return c
 }
 
+// Receive returns the context a handler serves msg under, the envelope-to-
+// context half of trace propagation (transport's Call stamps the outgoing
+// envelope from the context). A traced message yields a context carrying
+// its trace ID and a fresh Collector, also returned, for the entries the
+// handler's reply carries back (producers down the call chain find it via
+// For); an untraced one yields context.Background() and a nil collector.
+func Receive(msg *kqml.Message) (context.Context, *Collector) {
+	if msg.TraceID == "" {
+		return context.Background(), nil
+	}
+	c := &Collector{}
+	return context.WithValue(telemetry.WithTraceID(context.Background(), msg.TraceID), collectorKey{}, c), c
+}
+
 // Emitter is a producer's handle for one traced request: it fans each
 // decision out to the process recorder and the request's collector. A
 // nil Emitter is inert, so call sites read:
 //
-//	if em := provenance.For(ctx, traceID); em != nil {
+//	if em := provenance.For(ctx); em != nil {
 //	    em.Emit(kqml.ProvEvent{...})
 //	}
 //
@@ -106,10 +112,11 @@ type Emitter struct {
 	collector *Collector
 }
 
-// For returns an Emitter when the conversation is traced and someone is
-// listening (a span recorder, a context collector, or both); nil
+// For returns an Emitter when the context carries a trace ID and someone
+// is listening (a span recorder, a context collector, or both); nil
 // otherwise.
-func For(ctx context.Context, traceID string) *Emitter {
+func For(ctx context.Context) *Emitter {
+	traceID := telemetry.TraceIDFrom(ctx)
 	if traceID == "" {
 		return nil
 	}

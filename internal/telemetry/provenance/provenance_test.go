@@ -28,21 +28,46 @@ func TestForGating(t *testing.T) {
 	prev := telemetry.SetSpanRecorder(nil)
 	defer telemetry.SetSpanRecorder(prev)
 
-	if em := For(context.Background(), "t1"); em != nil {
+	traced := telemetry.WithTraceID(context.Background(), "t1")
+	if em := For(traced); em != nil {
 		t.Fatalf("no recorder, no collector: For should be nil")
 	}
 	cap := &capture{}
 	telemetry.SetSpanRecorder(cap)
-	if em := For(context.Background(), ""); em != nil {
+	if em := For(context.Background()); em != nil {
 		t.Fatalf("untraced: For should be nil even with a recorder")
 	}
-	if em := For(context.Background(), "t1"); em == nil {
+	if em := For(traced); em == nil {
 		t.Fatalf("recorder installed: For should be non-nil")
 	}
 	telemetry.SetSpanRecorder(nil)
-	ctx, _ := WithCollector(context.Background())
-	if em := For(ctx, "t1"); em == nil {
+	ctx, _ := Receive(&kqml.Message{TraceID: "t1"})
+	if em := For(ctx); em == nil {
 		t.Fatalf("collector on ctx: For should be non-nil without a recorder")
+	}
+}
+
+// TestReceive: a traced message yields a context carrying its trace ID and
+// a collector that the context's emitters feed; an untraced one yields a
+// bare context and no collector.
+func TestReceive(t *testing.T) {
+	prev := telemetry.SetSpanRecorder(nil)
+	defer telemetry.SetSpanRecorder(prev)
+
+	ctx, col := Receive(&kqml.Message{})
+	if col != nil || telemetry.TraceIDFrom(ctx) != "" || CollectorFrom(ctx) != nil {
+		t.Fatalf("untraced message: collector %v, trace %q", col, telemetry.TraceIDFrom(ctx))
+	}
+	ctx, col = Receive(&kqml.Message{TraceID: "t7"})
+	if col == nil || CollectorFrom(ctx) != col {
+		t.Fatalf("traced message: collector %v not on the context", col)
+	}
+	if id := telemetry.TraceIDFrom(ctx); id != "t7" {
+		t.Fatalf("traced message: context trace ID %q, want t7", id)
+	}
+	For(ctx).Emit(kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1", Forward: &kqml.ForwardDecision{Peer: "B2"}})
+	if n := len(col.Entries()); n != 1 {
+		t.Fatalf("collector got %d entries, want 1", n)
 	}
 }
 
@@ -51,8 +76,8 @@ func TestEmitFansOut(t *testing.T) {
 	prev := telemetry.SetSpanRecorder(cap)
 	defer telemetry.SetSpanRecorder(prev)
 
-	ctx, col := WithCollector(context.Background())
-	em := For(ctx, "t9")
+	ctx, col := Receive(&kqml.Message{TraceID: "t9"})
+	em := For(ctx)
 	em.Emit(kqml.ProvEvent{Kind: kqml.ProvForward, Agent: "B1",
 		Forward: &kqml.ForwardDecision{Peer: "B2"}})
 
@@ -75,7 +100,7 @@ func TestCollectReply(t *testing.T) {
 	prev := telemetry.SetSpanRecorder(nil)
 	defer telemetry.SetSpanRecorder(prev)
 
-	ctx, col := WithCollector(context.Background())
+	ctx, col := Receive(&kqml.Message{TraceID: "t1"})
 	reply := &kqml.Message{Trace: []kqml.TraceSpan{
 		{Op: kqml.OpTraceDropped, Dropped: 4},
 		Decision(kqml.ProvEvent{Kind: kqml.ProvMatch, Agent: "B2", Match: &kqml.MatchDecision{Ad: "R1", Accepted: true}}),
@@ -124,8 +149,8 @@ func TestEqualDecisionsBothRecorded(t *testing.T) {
 	prev := telemetry.SetSpanRecorder(rec)
 	defer telemetry.SetSpanRecorder(prev)
 
-	ctx, col := WithCollector(context.Background())
-	em := For(ctx, "t1")
+	ctx, col := Receive(&kqml.Message{TraceID: "t1"})
+	em := For(ctx)
 	for i := 0; i < 2; i++ {
 		em.Emit(kqml.ProvEvent{Kind: kqml.ProvMatch, Agent: "B1",
 			Match: &kqml.MatchDecision{Ad: "R1", Engine: "direct", Accepted: true, Specificity: 2}})

@@ -226,6 +226,7 @@ func serveConn(conn net.Conn, h Handler, idleTimeout time.Duration) {
 // reused connection — typically one the peer closed while it sat idle —
 // is evicted and retried once on a fresh dial.
 func (t *TCP) Call(ctx context.Context, addr string, msg *kqml.Message) (*kqml.Message, error) {
+	stampTrace(ctx, msg)
 	start := time.Now()
 	reply, sent, received, err := t.doCall(ctx, addr, msg)
 	recordCall("tcp", addr, start, sent, received, err)

@@ -202,3 +202,37 @@ func TestForwardLoopCannotBloatFrames(t *testing.T) {
 		t.Errorf("marker = %+v, want %d dropped", msg.Trace[0], 10000-(kqml.MaxTraceSpans-1))
 	}
 }
+
+// TestCallStampsTraceFromContext: Call carries the context's trace ID onto
+// an envelope that has none, where the handler sees it, and leaves an
+// envelope that carries its own ID, or a call on an untraced context, as
+// it was.
+func TestCallStampsTraceFromContext(t *testing.T) {
+	tr := NewInProc()
+	var seen []string
+	l, err := tr.Listen("inproc://stamped", func(msg *kqml.Message) *kqml.Message {
+		seen = append(seen, msg.TraceID)
+		return kqml.New(kqml.Tell, "stamped", &kqml.PingReply{Known: true})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	traced := telemetry.WithTraceID(context.Background(), "from-context")
+	fresh := kqml.New(kqml.AskAll, "caller", &kqml.SQLQuery{SQL: "q"})
+	relayed := kqml.New(kqml.AskAll, "caller", &kqml.SQLQuery{SQL: "q"})
+	relayed.TraceID = "own"
+	untraced := kqml.New(kqml.AskAll, "caller", &kqml.SQLQuery{SQL: "q"})
+	for _, c := range []struct {
+		ctx context.Context
+		msg *kqml.Message
+	}{{traced, fresh}, {traced, relayed}, {context.Background(), untraced}} {
+		if _, err := tr.Call(c.ctx, "inproc://stamped", c.msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{"from-context", "own", ""}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("handler saw trace IDs %q, want %q", seen, want)
+	}
+}

@@ -116,6 +116,7 @@ func (t *InProc) Listen(addr string, h Handler) (Listener, error) {
 // returns ErrUnreachable. Context cancellation is honored before dispatch
 // (in-process handlers are assumed fast).
 func (t *InProc) Call(ctx context.Context, addr string, msg *kqml.Message) (*kqml.Message, error) {
+	stampTrace(ctx, msg)
 	start := time.Now()
 	reply, sent, received, err := t.doCall(ctx, addr, msg)
 	recordCall("inproc", addr, start, sent, received, err)

@@ -135,7 +135,6 @@ func (a *Agent) submit(ctx context.Context, sql string) (*sqlparse.Result, error
 	msg := kqml.New(kqml.AskAll, a.Name(), &kqml.SQLQuery{SQL: sql})
 	msg.Language = ontology.LangSQL2
 	msg.Receiver = mrqAd.Name
-	msg.TraceID = telemetry.TraceIDFrom(ctx)
 	reply, err := a.Call(ctx, mrqAd.Address, msg)
 	if err != nil {
 		return nil, fmt.Errorf("user agent %s: querying %s: %w", a.Name(), mrqAd.Name, err)
