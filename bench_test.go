@@ -18,6 +18,7 @@ import (
 
 	"infosleuth/internal/broker"
 	"infosleuth/internal/community"
+	"infosleuth/internal/constraint"
 	"infosleuth/internal/experiments"
 	"infosleuth/internal/kqml"
 	"infosleuth/internal/ontology"
@@ -305,6 +306,47 @@ func BenchmarkFollowOption(b *testing.B) {
 
 // --- Hot-path benchmarks (transport pool + match cache) ---
 
+// benchWorld is the ontology world shared by the hot-path benchmarks.
+func benchWorld() *ontology.World {
+	return ontology.NewWorld(ontology.Generic())
+}
+
+// benchAds builds n resource advertisements spread over the generic
+// ontology's classes, each with a distinct range constraint so the
+// matcher exercises constraint intersection, not just class lookup.
+func benchAds(n int) []*ontology.Advertisement {
+	ads := make([]*ontology.Advertisement, 0, n)
+	for i := 0; i < n; i++ {
+		class := fmt.Sprintf("C%d", i%6+1)
+		ads = append(ads, &ontology.Advertisement{
+			Name:             fmt.Sprintf("bench-ra-%03d", i),
+			Address:          fmt.Sprintf("inproc://bench-ra-%03d", i),
+			Type:             ontology.TypeResource,
+			CommLanguages:    []string{ontology.LangKQML},
+			ContentLanguages: []string{ontology.LangSQL2},
+			Conversations:    []string{ontology.ConvAskAll},
+			Capabilities:     []string{ontology.CapRelationalQueryProcessing},
+			Content: []ontology.Fragment{{
+				Ontology:    "generic",
+				Classes:     []string{class},
+				Constraints: constraint.MustParse(fmt.Sprintf("%s.a between %d and %d", class, i*10, i*10+500)),
+			}},
+		})
+	}
+	return ads
+}
+
+// benchQuery is the repeated hot-path query: class-constrained with a
+// capability requirement, so ranking has something to score.
+func benchQuery() *ontology.Query {
+	return &ontology.Query{
+		Type:         ontology.TypeResource,
+		Ontology:     "generic",
+		Classes:      []string{"C2"},
+		Capabilities: []string{ontology.CapRelationalQueryProcessing},
+	}
+}
+
 // BenchmarkPooledCall measures one full broker call over TCP with the
 // connection pool on (default) and off (dial-per-call, the pre-pool
 // behavior), reporting actual TCP dials per call. The third mode routes
@@ -345,7 +387,7 @@ func brokerCallOp(tb testing.TB, maxIdle int, policy bool) func() {
 		Name:      "bench-broker",
 		Address:   "tcp://127.0.0.1:0",
 		Transport: tr,
-		World:     experiments.BenchWorld(),
+		World:     benchWorld(),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -354,12 +396,12 @@ func brokerCallOp(tb testing.TB, maxIdle int, policy bool) func() {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { br.Stop() })
-	for _, ad := range experiments.BenchAds(32) {
+	for _, ad := range benchAds(32) {
 		if err := br.Repository().Put(ad); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	msg := kqml.New(kqml.AskAll, "bench-client", &kqml.BrokerQuery{Query: experiments.BenchQuery()})
+	msg := kqml.New(kqml.AskAll, "bench-client", &kqml.BrokerQuery{Query: benchQuery()})
 	call := resilience.CallFunc(tr.Call)
 	if policy {
 		call = resilience.Disabled().WrapCall(tr.Call)
@@ -376,13 +418,13 @@ func brokerCallOp(tb testing.TB, maxIdle int, policy bool) func() {
 // the uncached engine measured in the same process.
 func BenchmarkMatchCached(b *testing.B) {
 	repo := broker.NewRepository()
-	for _, ad := range experiments.BenchAds(400) {
+	for _, ad := range benchAds(400) {
 		if err := repo.Put(ad); err != nil {
 			b.Fatal(err)
 		}
 	}
-	q := experiments.BenchQuery()
-	direct := &broker.DirectMatcher{World: experiments.BenchWorld()}
+	q := benchQuery()
+	direct := &broker.DirectMatcher{World: benchWorld()}
 	cached := broker.NewCachedMatcher(direct, 0)
 
 	// Uncached baseline, timed outside the benchmark clock.
@@ -413,13 +455,13 @@ func BenchmarkMatchCached(b *testing.B) {
 // Section 5 modeling mode, DisableMatchCache).
 func BenchmarkMatchUncached(b *testing.B) {
 	repo := broker.NewRepository()
-	for _, ad := range experiments.BenchAds(400) {
+	for _, ad := range benchAds(400) {
 		if err := repo.Put(ad); err != nil {
 			b.Fatal(err)
 		}
 	}
-	q := experiments.BenchQuery()
-	direct := &broker.DirectMatcher{World: experiments.BenchWorld()}
+	q := benchQuery()
+	direct := &broker.DirectMatcher{World: benchWorld()}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

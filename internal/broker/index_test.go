@@ -338,6 +338,48 @@ func churnShapedQuery(class string, lo, width float64) *ontology.Query {
 			Field: strings.ToLower(class) + ".a", Interval: constraint.NewRange(lo, lo+width)})}
 }
 
+// TestCandidatesGrowSublinearlyInAds: a class query with a narrow range
+// examines what its range overlaps, not the class. Ad i serves one of six
+// classes with a between 10i and 10i+500, and each of 16 queries asks one
+// class for a window of 50 spread over the whole domain, so about nine ads
+// can match a query at any size. From 1,000 to 100,000 ads the candidates
+// the postings hand to Match must grow less than tenfold; a posting that
+// ignored the range would hand over a sixth of the repository.
+func TestCandidatesGrowSublinearlyInAds(t *testing.T) {
+	w := ontology.NewWorld(ontology.Generic())
+	sizes := []int{1_000, 10_000, 100_000}
+	totals := make([]int, len(sizes))
+	for s, n := range sizes {
+		r := NewRepository()
+		for i := 0; i < n; i++ {
+			class := fmt.Sprintf("C%d", i%6+1)
+			ad := resourceAd(fmt.Sprintf("ra-%06d", i), class, func(ad *ontology.Advertisement) {
+				ad.Content[0].Constraints = constraint.NewSet(constraint.Atom{
+					Field: strings.ToLower(class) + ".a", Interval: constraint.NewRange(float64(10*i), float64(10*i+500))})
+			})
+			if err := r.Put(ad); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const queries = 16
+		span := n * 10 / queries
+		for b := 0; b < queries; b++ {
+			q := churnShapedQuery(fmt.Sprintf("C%d", b%6+1), float64(b*span), 50)
+			got := len(r.candidates(w, q))
+			if got == 0 {
+				t.Fatalf("%d ads: query %d has no candidates", n, b)
+			}
+			totals[s] += got
+		}
+		t.Logf("%d ads: %d candidates over %d queries", n, totals[s], queries)
+	}
+	first, last := totals[0], totals[len(totals)-1]
+	if last >= 10*first {
+		t.Errorf("ads grew %dx and the candidates %d -> %d: a search examines the class, not its range",
+			sizes[len(sizes)-1]/sizes[0], first, last)
+	}
+}
+
 // TestCachedResultsPinNoCandidateArrays: what the cache stores is as long
 // as the answer, not as the candidate set it was filtered from. Sized to
 // the candidates, a one-match result at 10,000 ads held a 1,250-pointer

@@ -43,23 +43,6 @@ var (
 		"Match results currently resident in the cache.")
 )
 
-// MatchCacheStats snapshots the process-wide match-cache counters, for
-// benchmarks and the BENCH_broker.json writer.
-type MatchCacheStats struct {
-	Hits   int64
-	Misses int64
-	Shared int64
-}
-
-// SnapshotMatchCacheStats reads the match-cache counters.
-func SnapshotMatchCacheStats() MatchCacheStats {
-	return MatchCacheStats{
-		Hits:   mMatchCacheOps.With("hit").Value(),
-		Misses: mMatchCacheOps.With("miss").Value(),
-		Shared: mMatchCacheOps.With("shared").Value(),
-	}
-}
-
 // matcherLabel names the matchmaking engine for the duration metric,
 // unwrapping the cache so the label reflects the engine that computes
 // misses.

@@ -86,10 +86,9 @@ func (s *Simulator) Cancel(e *Event) {
 }
 
 // Peek returns the firing time of the next queued event without
-// executing it; ok is false when the queue is empty. Drivers that
-// interleave a simulated schedule with external work (the scale
-// harness's churn feed) use it to drain events up to a deadline without
-// advancing the clock past it.
+// executing it; ok is false when the queue is empty. A driver that
+// interleaves a simulated schedule with external work can use it to drain
+// events up to a deadline without advancing the clock past it.
 func (s *Simulator) Peek() (t Time, ok bool) {
 	if len(s.queue) == 0 {
 		return 0, false

@@ -2,6 +2,13 @@
 // Section 5: the live-community experiments of Tables 1-4 (query streams
 // over single- versus multi-broker InfoSleuth communities) and the
 // simulation experiments of Figures 14-17 and Tables 5-6.
+//
+// It also stages four artifacts of this implementation's observability:
+// a traced multibroker query (Traces), its decision provenance
+// (ExplainDemo), the fleet dashboard and slowlog (Fleet), and the metric
+// catalog (MetricsCatalog). The implementation's performance is measured
+// by the separate benchmark module, and its scaling bounds are held by
+// tests in the packages they bound.
 package experiments
 
 import (

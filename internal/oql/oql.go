@@ -104,7 +104,7 @@ func lex(s string) []token {
 			i = j
 		default:
 			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_') {
+			for j < len(s) && sqlparse.IsIdentByte(s[j]) {
 				j++
 			}
 			if j == i {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"runtime"
 	"sync"
@@ -711,4 +712,88 @@ func TestUnsubscribeRacingSubscribe(t *testing.T) {
 	if n := len(col.list()); n != 0 {
 		t.Fatalf("unsubscribed standing query delivered %d updates", n)
 	}
+}
+
+// The standing-query sweep: sweepSubs subscriptions on one agent, each a
+// BETWEEN over 1% of a domain of sweepDomain, registered through the
+// subscribe wire form. An insert therefore overlaps about 1% of them.
+const (
+	sweepDomain = 100_000
+	sweepSubs   = 10_000
+)
+
+// newSweepResource starts an agent over C2(id, a) with 128 rows spread
+// evenly over the domain, and an acknowledging subscriber that keeps
+// nothing.
+func newSweepResource(t *testing.T) (ra *Agent, tr transport.Transport, subAddr string) {
+	t.Helper()
+	db := relational.NewDatabase()
+	tbl, err := db.Create(relational.Schema{
+		Name: "C2",
+		Columns: []relational.Column{
+			{Name: "id", Type: relational.TypeString},
+			{Name: "a", Type: relational.TypeNumber},
+		},
+		Key: "id",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const baseRows = 128
+	for i := 0; i < baseRows; i++ {
+		tbl.MustInsert(relational.Row{relational.Str(fmt.Sprintf("base-%04d", i)), relational.Num(float64(i * sweepDomain / baseRows))})
+	}
+	ra, tr = newResource(t, func(cfg *Config) { cfg.DB = db })
+	l, err := tr.Listen("", func(msg *kqml.Message) *kqml.Message {
+		return kqml.New(kqml.Tell, "sweep", &kqml.UpdateAck{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return ra, tr, l.Addr()
+}
+
+// subscribeSweep registers the sweep's standing queries.
+func subscribeSweep(t *testing.T, tr transport.Transport, ra *Agent, subAddr string, r *rand.Rand) {
+	t.Helper()
+	const width = sweepDomain / 100
+	for i := 0; i < sweepSubs; i++ {
+		lo := r.Intn(sweepDomain - width)
+		subscribe(t, tr, ra, subAddr, fmt.Sprintf("SELECT id FROM C2 WHERE a BETWEEN %d AND %d", lo, lo+width))
+	}
+}
+
+// TestIndexedSubscriptionsEvaluateFewPerChange: a change re-evaluates the
+// standing queries its rows can affect, not all of them. Over 10,000
+// subscriptions, 200 inserts skewed so that 80% land in the hot tenth of
+// the domain must enqueue at most 5% of subscriptions × changes; about 1%
+// overlaps. Evaluating every subscription on every change enqueues 100%.
+func TestIndexedSubscriptionsEvaluateFewPerChange(t *testing.T) {
+	ctx := context.Background()
+	ra, tr, subAddr := newSweepResource(t)
+	r := rand.New(rand.NewSource(1999))
+	subscribeSweep(t, tr, ra, subAddr, r)
+	tbl, _ := ra.DB().Table("C2")
+	const changes = 200
+	evaluated := 0
+	for i := 0; i < changes; i++ {
+		v := r.Float64() * sweepDomain
+		if r.Float64() < 0.8 {
+			v /= 10
+		}
+		row := relational.Row{relational.Str(fmt.Sprintf("chg-%05d", i)), relational.Num(v)}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		matched, _ := ra.NotifyChange(ctx, Change{Class: "C2", Rows: []relational.Row{row}})
+		evaluated += matched
+	}
+	all := sweepSubs * changes
+	t.Logf("%d of %d evaluations (%.2f%%)", evaluated, all, 100*float64(evaluated)/float64(all))
+	if evaluated == 0 || evaluated*20 > all {
+		t.Errorf("%d subscriptions × %d changes enqueued %d evaluations, want at most 5%% (%d) and some",
+			sweepSubs, changes, evaluated, all/20)
+	}
+	flushSubs(t, ra)
 }

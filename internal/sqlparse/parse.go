@@ -149,7 +149,7 @@ func sqlLex(s string) []sqlToken {
 			i = j
 		default:
 			j := i
-			for j < len(s) && (unicode.IsLetter(rune(s[j])) || unicode.IsDigit(rune(s[j])) || s[j] == '_') {
+			for j < len(s) && IsIdentByte(s[j]) {
 				j++
 			}
 			if j == i {
@@ -162,6 +162,14 @@ func sqlLex(s string) []sqlToken {
 		}
 	}
 	return toks
+}
+
+// IsIdentByte reports whether c may appear in an identifier: an ASCII
+// letter, digit or underscore. Identifiers are ASCII so that lower-casing
+// one, as pushdown and column matching do, yields an identifier again; a
+// byte outside UTF-8 would lower-case to U+FFFD.
+func IsIdentByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c|0x20 && c|0x20 <= 'z'
 }
 
 type sqlParser struct {

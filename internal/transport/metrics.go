@@ -48,7 +48,7 @@ var (
 )
 
 // PoolStats is a point-in-time snapshot of the connection-pool counters,
-// for benchmarks and the BENCH_broker.json writer.
+// for tests and benchmarks.
 type PoolStats struct {
 	Dials     int64
 	Reuses    int64
