@@ -85,17 +85,6 @@ func (s *Simulator) Cancel(e *Event) {
 	heap.Remove(&s.queue, e.index)
 }
 
-// Peek returns the firing time of the next queued event without
-// executing it; ok is false when the queue is empty. A driver that
-// interleaves a simulated schedule with external work can use it to drain
-// events up to a deadline without advancing the clock past it.
-func (s *Simulator) Peek() (t Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].time, true
-}
-
 // Step executes the next event; it reports false when the queue is empty.
 func (s *Simulator) Step() bool {
 	for len(s.queue) > 0 {
@@ -115,7 +104,7 @@ func (s *Simulator) Step() bool {
 // drains; the clock finishes at exactly `until` if it was reached.
 func (s *Simulator) Run(until Time) {
 	for len(s.queue) > 0 {
-		// Peek.
+		// The head of the heap is the next event to fire.
 		e := s.queue[0]
 		if e.time > until {
 			break

@@ -481,12 +481,19 @@ func (a *Agent) emptyTable(class, key string) (*relational.Table, error) {
 // table, in one loop for every layout. Results group by column signature:
 // one group is a horizontal union (horizontal fragments and replicas), and
 // groups with different column sets are vertical fragments, joined on the
-// class key. Each group's rows sort by the class key, then by value, and a
-// row that repeats its predecessor's key (all of its values when the class
-// has no key) is skipped, so among replicas that disagree on a key the
-// least row by value is kept. Rows whose key appears in only some vertical
+// class key. A column is numeric when some group's least row by value
+// holds a number in it, and a string column otherwise; every cell is first
+// coerced to its column's type. Each group's rows then sort by the coerced
+// key, then by value, and a row that repeats its predecessor's key (all of
+// its values when the class has no key) is skipped, so among replicas that
+// disagree on a key the least row by value is kept. A lone group's rows
+// are the table's rows. Rows whose key appears in only some vertical
 // fragments keep the columns they have; missing cells take the column's
-// zero value.
+// zero value. A fragment that names a column twice fails the merge.
+//
+// MergeFragments takes ownership of the rows in results: it coerces their
+// cells in place, and the table it returns holds them. A caller must not
+// use them again.
 //
 // The output is deterministic regardless of result order: groups merge in
 // sorted-signature order and the table's rows sort by the class key (full
@@ -505,8 +512,6 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 		dst  []int // each column's index in the output row
 	}
 	totalRows := 0
-	var groups []*group
-	bySig := make(map[string]*group, len(results))
 	for _, r := range results {
 		for _, row := range r.Rows {
 			if len(row) != len(r.Columns) {
@@ -514,10 +519,16 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 			}
 		}
 		totalRows += len(r.Rows)
+	}
+	var groups []*group
+	bySig := make(map[string]*group, len(results))
+	for _, r := range results {
 		sig := strings.ToLower(strings.Join(r.Columns, "\x00"))
 		g, ok := bySig[sig]
 		if !ok {
-			g = &group{sig: sig, cols: r.Columns}
+			// Room for every row: a lone group, the common case, fills
+			// its slice in one allocation.
+			g = &group{sig: sig, cols: r.Columns, rows: make([]relational.Row, 0, totalRows)}
 			bySig[sig] = g
 			groups = append(groups, g)
 		}
@@ -553,8 +564,8 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 		keyIdx = -1
 	}
 
-	// Sort each group by key, then by value, and infer column types: a
-	// number in any group's first row makes its column numeric.
+	// Infer column types: a number in any group's least row by value
+	// makes its column numeric.
 	schemaCols := make([]relational.Column, len(outCols))
 	for i, c := range outCols {
 		schemaCols[i] = relational.Column{Name: c, Type: relational.TypeString}
@@ -564,6 +575,9 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 		g.dst = make([]int, len(g.cols))
 		for ci, c := range g.cols {
 			g.dst[ci] = colIdx[strings.ToLower(c)]
+			if slices.Contains(g.dst[:ci], g.dst[ci]) {
+				return nil, fmt.Errorf("mrq: fragment of %s repeats column %s", class, c)
+			}
 			if g.dst[ci] == keyIdx {
 				g.ki = ci
 			}
@@ -571,58 +585,59 @@ func MergeFragments(class, key string, results []*kqml.SQLResult) (*relational.T
 		if len(groups) > 1 && g.ki < 0 {
 			return nil, fmt.Errorf("mrq: vertical fragment of %s lacks key column %s", class, key)
 		}
-		slices.SortFunc(g.rows, func(a, b relational.Row) int { return compareRows(a, b, g.ki) })
-		if len(g.rows) > 0 {
-			for ci, v := range g.rows[0] {
-				if v.Kind() == constraint.KindNumber {
-					schemaCols[g.dst[ci]].Type = relational.TypeNumber
-				}
+		if len(g.rows) == 0 {
+			continue
+		}
+		least := g.rows[0]
+		for _, row := range g.rows[1:] {
+			if compareRows(row, least, g.ki) < 0 {
+				least = row
 			}
 		}
-	}
-	schemaKey := ""
-	if keyIdx >= 0 {
-		schemaKey = outCols[keyIdx]
-	}
-	table, err := relational.NewTable(relational.Schema{Name: class, Columns: schemaCols, Key: schemaKey})
-	if err != nil {
-		return nil, err
+		for ci, v := range least {
+			if v.Kind() == constraint.KindNumber {
+				schemaCols[g.dst[ci]].Type = relational.TypeNumber
+			}
+		}
 	}
 
-	// Fill: a group's row lands in the output row of its key, made on
-	// first sight; with no key, every surviving row is a row of its own.
-	byKey := make(map[constraint.Value]relational.Row, totalRows)
-	rows := make([]relational.Row, 0, totalRows)
+	// Coerce, sort and deduplicate each group. Coercing first makes keys
+	// that coerce alike repeat, so they deduplicate too.
 	for _, g := range groups {
-		for i, row := range g.rows {
-			if i > 0 && repeats(row, g.rows[i-1], g.ki) {
-				continue
+		for _, row := range g.rows {
+			for ci, v := range row {
+				row[ci] = coerce(v, schemaCols[g.dst[ci]].Type)
 			}
-			var out relational.Row
-			if g.ki >= 0 {
-				k := coerce(row[g.ki], schemaCols[keyIdx].Type)
-				out = byKey[k]
+		}
+		slices.SortFunc(g.rows, func(a, b relational.Row) int { return compareRows(a, b, g.ki) })
+		g.rows = slices.CompactFunc(g.rows, func(row, prev relational.Row) bool { return repeats(row, prev, g.ki) })
+	}
+	schema := relational.Schema{Name: class, Columns: schemaCols}
+	if keyIdx >= 0 {
+		schema.Key = outCols[keyIdx]
+	}
+	rows := groups[0].rows
+	if len(groups) > 1 {
+		// Vertical fragments: a group's row lands in the output row of
+		// its key, made on first sight.
+		byKey := make(map[constraint.Value]relational.Row, totalRows)
+		rows = make([]relational.Row, 0, totalRows)
+		for _, g := range groups {
+			for _, row := range g.rows {
+				out := byKey[row[g.ki]]
 				if out == nil {
 					out = zeroRow(schemaCols)
-					byKey[k] = out
+					byKey[row[g.ki]] = out
 					rows = append(rows, out)
 				}
-			} else {
-				out = zeroRow(schemaCols)
-				rows = append(rows, out)
-			}
-			for ci, v := range row {
-				out[g.dst[ci]] = coerce(v, schemaCols[g.dst[ci]].Type)
+				for ci, v := range row {
+					out[g.dst[ci]] = v
+				}
 			}
 		}
+		slices.SortFunc(rows, func(a, b relational.Row) int { return compareRows(a, b, keyIdx) })
 	}
-	slices.SortFunc(rows, func(a, b relational.Row) int { return compareRows(a, b, keyIdx) })
-	for _, out := range rows {
-		if err := table.Insert(out); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
+	return relational.NewTableOf(schema, rows)
 }
 
 // compareRows orders rows by the value at keyIdx (skipped when keyIdx is

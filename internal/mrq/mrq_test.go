@@ -1,6 +1,8 @@
 package mrq
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"infosleuth/internal/constraint"
@@ -110,6 +112,18 @@ func TestMergeFragmentsFragmentMissingKeyFails(t *testing.T) {
 	}
 }
 
+func TestMergeFragmentsRepeatedColumnFails(t *testing.T) {
+	for _, frags := range [][]*kqml.SQLResult{
+		{sqlRes([]string{"id", "a", "A"}, relational.Row{str("k1"), num(1), num(2)})},
+		{sqlRes([]string{"id", "a", "A"}, relational.Row{str("k1"), num(1), num(2)}),
+			sqlRes([]string{"id", "c"}, relational.Row{str("k1"), num(3)})},
+	} {
+		if _, err := MergeFragments("C2", "id", frags); err == nil || !strings.Contains(err.Error(), "repeats column") {
+			t.Errorf("%d fragments, one naming a twice: err = %v", len(frags), err)
+		}
+	}
+}
+
 func TestMergeFragmentsEmpty(t *testing.T) {
 	if _, err := MergeFragments("C2", "id", nil); err == nil {
 		t.Error("no fragments should fail")
@@ -154,6 +168,37 @@ func TestMergeFragmentsReplicaKeyCollision(t *testing.T) {
 		row, _ := tbl.Lookup(str("k1"))
 		if !row[1].Equal(num(tc.want)) {
 			t.Errorf("replicas a=%v, a=%v: kept row = %v, want a=%v", tc.first, tc.second, row, tc.want)
+		}
+	}
+}
+
+// TestMergeFragmentsCoercedKeysCollide: replicas that share a column
+// signature but disagree on a column's kind. The id column is numeric
+// (the least row, (1, 10), holds a number there), so 'x' and 'y' both
+// coerce to 0 and collide: the table keeps one row for key 0, the least
+// coerced row (0, 20), and sorts it before key 1, in either fragment
+// order. Sorting and deduplicating before coercing would keep both rows
+// for key 0, after key 1.
+func TestMergeFragmentsCoercedKeysCollide(t *testing.T) {
+	frags := func() []*kqml.SQLResult {
+		return []*kqml.SQLResult{
+			sqlRes([]string{"id", "a"}, relational.Row{num(1), num(10)}),
+			sqlRes([]string{"id", "a"}, relational.Row{str("x"), num(20)}, relational.Row{str("y"), num(30)}),
+		}
+	}
+	want := []relational.Row{{num(0), num(20)}, {num(1), num(10)}}
+	for _, reverse := range []bool{false, true} {
+		in := frags()
+		if reverse {
+			in[0], in[1] = in[1], in[0]
+		}
+		tbl, err := MergeFragments("C2", "id", in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tbl.Rows()
+		if !slices.EqualFunc(got, want, relational.Row.Equal) {
+			t.Errorf("reversed %v: merged rows %v, want %v", reverse, got, want)
 		}
 	}
 }

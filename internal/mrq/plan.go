@@ -171,9 +171,8 @@ func (a *Agent) planAggregate(stmt *sqlparse.Select, class string, matches []*on
 	if len(fp.conds) != len(stmt.Where) {
 		return nil, "not every WHERE conjunct is pushable"
 	}
-	h := ontology.DefaultHierarchy()
 	for _, ad := range matches {
-		if !h.Satisfies(ad.Capabilities, ontology.CapAggregation) {
+		if !ontology.Satisfies(ad.Capabilities, ontology.CapAggregation) {
 			return nil, fmt.Sprintf("%s cannot aggregate", ad.Name)
 		}
 		if !ad.CoversColumns(a.cfg.Ontology, class, p.Columns(), fp.ont) {

@@ -124,6 +124,17 @@ func (h *CapabilityHierarchy) Satisfies(advertised []string, requested string) b
 	return false
 }
 
+// Satisfies is CapabilityHierarchy.Satisfies over the default hierarchy.
+// That hierarchy is built once for the process and handed to no caller,
+// so nothing can Add to it, and every agent shares it: resource agents
+// check each statement they run against it, and the MRQ each aggregate
+// it would push down.
+func Satisfies(advertised []string, requested string) bool {
+	return defaultHierarchy.Satisfies(advertised, requested)
+}
+
+var defaultHierarchy = DefaultHierarchy()
+
 // Descendants returns every capability transitively contained by the given
 // one, in sorted order, excluding the capability itself.
 func (h *CapabilityHierarchy) Descendants(name string) []string {

@@ -119,19 +119,25 @@ func TestCapabilityHierarchyFigure2(t *testing.T) {
 	}
 }
 
+// TestCapabilitySatisfies holds a fresh default hierarchy and the shared
+// one behind the package-level Satisfies to the same answers.
 func TestCapabilitySatisfies(t *testing.T) {
-	h := DefaultHierarchy()
-	if !h.Satisfies([]string{CapQueryProcessing}, CapSelect) {
-		t.Error("generalist should satisfy a specific request")
-	}
-	if h.Satisfies([]string{CapSelect}, CapQueryProcessing) {
-		t.Error("specialist must not satisfy a general request")
-	}
-	if !h.Satisfies([]string{CapSelect, CapUnion}, CapUnion) {
-		t.Error("exact capability should satisfy")
-	}
-	if h.Satisfies(nil, CapSelect) {
-		t.Error("no capabilities satisfy nothing")
+	for name, satisfies := range map[string]func([]string, string) bool{
+		"DefaultHierarchy().Satisfies": DefaultHierarchy().Satisfies,
+		"Satisfies":                    Satisfies,
+	} {
+		if !satisfies([]string{CapQueryProcessing}, CapSelect) {
+			t.Errorf("%s: generalist should satisfy a specific request", name)
+		}
+		if satisfies([]string{CapSelect}, CapQueryProcessing) {
+			t.Errorf("%s: specialist must not satisfy a general request", name)
+		}
+		if !satisfies([]string{CapSelect, CapUnion}, CapUnion) {
+			t.Errorf("%s: exact capability should satisfy", name)
+		}
+		if satisfies(nil, CapSelect) {
+			t.Errorf("%s: no capabilities satisfy nothing", name)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // must equal the old one. Like Delete, it copies the rows slice instead
 // of writing it, so a running Scan's snapshot stays as it was.
 func (t *Table) Update(key constraint.Value, r Row) error {
-	if t.byKey == nil {
+	if t.schema.Key == "" {
 		return fmt.Errorf("relational: table %q has no key; update unsupported", t.schema.Name)
 	}
 	if err := t.check(r); err != nil {
@@ -24,7 +24,7 @@ func (t *Table) Update(key constraint.Value, r Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byKey[key.String()]
+	i, ok := t.index()[key.String()]
 	if !ok {
 		return fmt.Errorf("relational: table %q has no row with key %s", t.schema.Name, key)
 	}
@@ -37,12 +37,13 @@ func (t *Table) Update(key constraint.Value, r Row) error {
 // Delete removes the row with the given key; it reports whether a row was
 // removed. It fails silently (false) on keyless tables.
 func (t *Table) Delete(key constraint.Value) bool {
-	if t.byKey == nil {
+	if t.schema.Key == "" {
 		return false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i, ok := t.byKey[key.String()]
+	byKey := t.index()
+	i, ok := byKey[key.String()]
 	if !ok {
 		return false
 	}
@@ -52,9 +53,9 @@ func (t *Table) Delete(key constraint.Value) bool {
 		// Move the last row into the hole and fix its index.
 		rows[i] = t.rows[last]
 		ki := t.schema.ColIndex(t.schema.Key)
-		t.byKey[rows[i][ki].String()] = i
+		byKey[rows[i][ki].String()] = i
 	}
 	t.rows = rows
-	delete(t.byKey, key.String())
+	delete(byKey, key.String())
 	return true
 }

@@ -138,21 +138,33 @@ type Table struct {
 	// rows is never written below its length: Insert appends past every
 	// Scan's snapshot, while Update and Delete build a new slice.
 	rows []Row
-	// byKey indexes row position by key value when a key is declared.
+	// byKey indexes row position by the key's text when a key is
+	// declared; nil until the first keyed call builds it (see index).
 	byKey map[string]int
 }
 
 // NewTable creates an empty table for the schema.
-func NewTable(s Schema) (*Table, error) {
+func NewTable(s Schema) (*Table, error) { return NewTableOf(s, nil) }
+
+// NewTableOf creates a table holding rows, after type-checking each one.
+// It adopts rows and copies nothing: the caller gives up the slice and
+// every row in it, and must not write them again. The caller also
+// guarantees that keys are distinct. The key index is built by the first
+// Insert, Lookup, Update or Delete, so a table that is only scanned (an
+// MRQ's scratch table) never pays for one.
+func NewTableOf(s Schema, rows []Row) (*Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	cp := s
 	cp.Columns = append([]Column(nil), s.Columns...)
 	t := &Table{schema: cp}
-	if cp.Key != "" {
-		t.byKey = make(map[string]int)
+	for _, r := range rows {
+		if err := t.check(r); err != nil {
+			return nil, err
+		}
 	}
+	t.rows = rows
 	return t, nil
 }
 
@@ -186,15 +198,29 @@ func (t *Table) Insert(r Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.byKey != nil {
+	if t.schema.Key != "" {
+		byKey := t.index()
 		k := r[t.schema.ColIndex(t.schema.Key)].String()
-		if _, dup := t.byKey[k]; dup {
+		if _, dup := byKey[k]; dup {
 			return fmt.Errorf("relational: table %q duplicate key %s", t.schema.Name, k)
 		}
-		t.byKey[k] = len(t.rows)
+		byKey[k] = len(t.rows)
 	}
 	t.rows = append(t.rows, append(Row(nil), r...))
 	return nil
+}
+
+// index returns the key index of a keyed table, building it from the rows
+// on first use. t.mu must be held for writing.
+func (t *Table) index() map[string]int {
+	if t.byKey == nil {
+		ki := t.schema.ColIndex(t.schema.Key)
+		t.byKey = make(map[string]int, len(t.rows))
+		for i, r := range t.rows {
+			t.byKey[r[ki].String()] = i
+		}
+	}
+	return t.byKey
 }
 
 // check type-checks a row against the schema: its width, then each
@@ -226,12 +252,12 @@ func (t *Table) MustInsert(r Row) {
 
 // Lookup returns the row with the given key value, if any.
 func (t *Table) Lookup(key constraint.Value) (Row, bool) {
-	if t.byKey == nil {
+	if t.schema.Key == "" {
 		return nil, false
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.byKey[key.String()]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	i, ok := t.index()[key.String()]
 	if !ok {
 		return nil, false
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"infosleuth/internal/ontology"
 	"infosleuth/internal/relational"
 	"infosleuth/internal/sqlparse"
 )
@@ -48,5 +49,22 @@ func TestStandingQueryHeapAllocs(t *testing.T) {
 	t.Logf("%.0f B of heap per standing query", perSub)
 	if perSub > ceiling {
 		t.Errorf("%.0f B of heap per standing query, ceiling %d", perSub, ceiling)
+	}
+}
+
+// TestCompilePointQueryAllocs: every query and every standing-query
+// re-evaluation compiles its statement, against the one default capability
+// lattice: rebuilding the lattice per statement cost 14 more allocations.
+func TestCompilePointQueryAllocs(t *testing.T) {
+	a, _ := newResource(t)
+	const sql = "SELECT id, a FROM C2 WHERE id = 'C2-0007'"
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := a.compile(ontology.LangSQL2, sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("compile allocates %.0f per point query", n)
+	if n > 25 {
+		t.Errorf("compile allocates %.0f per point query, want <= 25", n)
 	}
 }

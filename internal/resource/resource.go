@@ -301,9 +301,8 @@ func (a *Agent) compile(language, query string) (*sqlparse.Select, error) {
 	// subsumed by an advertised capability (the paper's
 	// myRelationalQueryAgent "cannot do any statistical aggregation"
 	// style restriction).
-	h := ontology.DefaultHierarchy()
 	for _, need := range stmt.Capabilities() {
-		if !h.Satisfies(a.cfg.Capabilities, need) {
+		if !ontology.Satisfies(a.cfg.Capabilities, need) {
 			return stmt, fmt.Errorf("resource %s: query needs capability %q beyond advertisement", a.cfg.Name, need)
 		}
 	}

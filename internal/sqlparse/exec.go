@@ -9,7 +9,10 @@ import (
 	"infosleuth/internal/relational"
 )
 
-// Result is the answer to a query: named output columns and rows.
+// Result is the answer to a query: named output columns and rows. Its rows
+// may be the stored rows of the tables the query read (Execute returns them
+// whenever its projection would copy them unchanged), so they are
+// read-only: sort or re-slice Rows, but write no row.
 type Result struct {
 	Columns []string
 	Rows    []relational.Row
@@ -275,7 +278,11 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 	}
 
 	// Seed: rows of the first table, filtered by its stage-1 conditions.
+	// With none, every row is a tuple.
 	var tuples []relational.Row
+	if len(stageConds[1]) == 0 {
+		tuples = make([]relational.Row, 0, bindings[0].table.Len())
+	}
 	bindings[0].table.Scan(func(r relational.Row) bool {
 		ok := true
 		for i := range stageConds[1] {
@@ -314,7 +321,11 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 				break
 			}
 		}
-		newRows := b.table.Rows()
+		newRows := make([]relational.Row, 0, b.table.Len())
+		b.table.Scan(func(r relational.Row) bool {
+			newRows = append(newRows, r)
+			return true
+		})
 		var next []relational.Row
 		checkRest := func(tuple relational.Row) {
 			for i := range conds {
@@ -384,6 +395,14 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 			proj = append(proj, i)
 		}
 	}
+	if identity(proj, offset) {
+		// offset is the tuple's width. The tuples are the result rows:
+		// stored rows of the one table read, or joined tuples built above.
+		if tuples == nil {
+			tuples = []relational.Row{} // no rows is an empty list on the wire, not null
+		}
+		return &Result{Columns: outCols, Rows: tuples}, nil
+	}
 	out := &Result{Columns: outCols, Rows: make([]relational.Row, 0, len(tuples))}
 	for _, t := range tuples {
 		row := make(relational.Row, len(proj))
@@ -393,4 +412,18 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
+}
+
+// identity reports whether a projection takes every one of a tuple's width
+// values in order.
+func identity(proj []int, width int) bool {
+	if len(proj) != width {
+		return false
+	}
+	for i, pi := range proj {
+		if pi != i {
+			return false
+		}
+	}
+	return true
 }
