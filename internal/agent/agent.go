@@ -130,6 +130,10 @@ type Base struct {
 	caller Caller
 	policy *resilience.Policy
 	callFn resilience.CallFunc
+
+	// located holds the broker replies this agent was granted (see
+	// located.go); only an agent with a listener is granted any.
+	located locatedSets
 }
 
 // New creates a base agent; call Start to serve, then Advertise. Options
@@ -199,6 +203,7 @@ func (a *Base) Stop() error {
 	l := a.listener
 	a.listener = nil
 	a.lmu.Unlock()
+	a.located.reset()
 	if l == nil {
 		return nil
 	}
@@ -250,6 +255,16 @@ func (a *Base) dispatch(msg *kqml.Message) *kqml.Message {
 func (a *Base) dispatchInner(msg *kqml.Message) *kqml.Message {
 	if msg.Performative == kqml.Ping {
 		reply := kqml.New(kqml.Tell, a.cfg.Name, &kqml.PingReply{Known: true})
+		reply.Receiver = msg.Sender
+		reply.InReplyTo = msg.ReplyWith
+		return reply
+	}
+	// A broker's update on the service ontology says that a change may
+	// alter replies it contributed to: the located sets go, and the next
+	// queries ask again.
+	if msg.Performative == kqml.Update && msg.Ontology == kqml.ServiceOntology {
+		a.located.invalidate(msg.Sender)
+		reply := kqml.New(kqml.Tell, a.cfg.Name, &kqml.UpdateAck{})
 		reply.Receiver = msg.Sender
 		reply.InReplyTo = msg.ReplyWith
 		return reply
@@ -441,6 +456,7 @@ func (a *Base) CheckBrokers(ctx context.Context) int {
 			a.mu.Lock()
 			delete(a.connected, addr)
 			a.mu.Unlock()
+			a.located.drop(addr)
 		}
 	}
 	if a.connectedCount() < a.cfg.Redundancy {
@@ -488,6 +504,12 @@ func (a *Base) StartHeartbeat(interval time.Duration) (stop func()) {
 // first successful reply. It tries connected brokers in order, then any
 // remaining known brokers. When the context carries a trace ID (see
 // telemetry.WithTraceID), the query joins that conversation trace.
+//
+// An agent with a listener answers from its located sets where it can
+// (see located.go): a query without constraints from the saved reply to
+// it, a Limit 0 FollowAll query from the saved reply to its class-wide
+// form. A traced query always asks a broker, as written; when it has no
+// constraints its granted reply replaces the saved one.
 func (a *Base) QueryBrokers(ctx context.Context, q *ontology.Query) (*kqml.BrokerReply, error) {
 	br, _, err := a.queryBrokers(ctx, q)
 	return br, err
@@ -524,14 +546,47 @@ func (a *Base) queryBrokers(ctx context.Context, q *ontology.Query) (_ *kqml.Bro
 			telemetry.RecordSpan(traceID, span)
 		}(time.Now())
 	}
+	traced := telemetry.TraceIDFrom(ctx) != ""
+	var (
+		kq     *ontology.Query
+		narrow bool
+		key    []byte
+	)
+	self := a.Addr()
+	if self != "" {
+		if kq, narrow = locatedKey(q); kq != nil {
+			buf := keyBufs.Get().(*[]byte)
+			defer keyBufs.Put(buf)
+			if *buf, err = kq.AppendJSON((*buf)[:0]); err != nil {
+				return nil, nil, err
+			}
+			key = *buf
+			if !traced {
+				if br := a.located.answer(key, q, narrow, time.Now()); br != nil {
+					mBrokerQueries.With("ok").Inc()
+					return br, nil, nil
+				}
+			}
+		}
+	}
 	tried := make(map[string]bool)
 	var lastErr error
 	attempt := func(addr string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 		tried[addr] = true
-		msg := kqml.New(kqml.AskAll, a.cfg.Name, &kqml.BrokerQuery{Query: q})
+		// The query goes as written, unless the agent keeps its reply: then
+		// it carries the agent's address, and untraced it goes in the form
+		// the located set answers.
+		ask, holder := q, ""
+		sent := time.Now()
+		if kq != nil && (!traced || !narrow) && a.located.grants(addr, sent) {
+			ask, holder = kq, self
+		}
+		seq := a.located.epoch()
+		msg := kqml.New(kqml.AskAll, a.cfg.Name, &kqml.BrokerQuery{Query: ask, Holder: holder})
 		msg.Ontology = kqml.ServiceOntology
 		reply, err := a.call(ctx, addr, msg)
 		if err != nil {
+			a.located.drop(addr)
 			return nil, nil, err
 		}
 		if reply.Performative != kqml.Tell {
@@ -545,6 +600,14 @@ func (a *Base) queryBrokers(ctx context.Context, q *ontology.Query) (_ *kqml.Bro
 		// forwarding) into the requester's collector, if one is active,
 		// so a relaying agent propagates them on its own reply.
 		provenance.CollectReply(ctx, reply)
+		if holder != "" {
+			a.located.keep(string(key), addr, &br, sent, seq)
+		}
+		if ask != q {
+			nb := narrowed(br.Matches, br.Brokers, q)
+			nb.Degraded = br.Degraded
+			return nb, reply.Trace, nil
+		}
 		return &br, reply.Trace, nil
 	}
 	connected := a.ConnectedBrokers()

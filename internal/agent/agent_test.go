@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"infosleuth/internal/broker"
+	"infosleuth/internal/constraint"
 	"infosleuth/internal/kqml"
 	"infosleuth/internal/ontology"
 	"infosleuth/internal/transport"
@@ -301,8 +302,11 @@ func TestRandomizedBrokerChoiceSpreadsQueries(t *testing.T) {
 	if _, err := asker.Advertise(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	// A FollowLocal query with constraints is asked every time: no located
+	// set answers it.
 	q := &ontology.Query{Type: ontology.TypeResource, Ontology: "generic", Classes: []string{"C2"},
-		Policy: ontology.SearchPolicy{HopCount: 1, Follow: ontology.FollowLocal}}
+		Constraints: constraint.MustParse("C2.a > 0"),
+		Policy:      ontology.SearchPolicy{HopCount: 1, Follow: ontology.FollowLocal}}
 	for i := 0; i < 40; i++ {
 		if _, err := asker.QueryBrokers(context.Background(), q); err != nil {
 			t.Fatal(err)

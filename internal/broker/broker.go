@@ -82,7 +82,9 @@ type Config struct {
 	SyntheticCostPerAd time.Duration
 	// DisableMatchCache turns off the generation-invalidated match
 	// cache, so every query re-runs the matching engine: the original
-	// LDL broker's behavior, part of community.PaperFaithful.
+	// LDL broker's behavior, part of community.PaperFaithful. It also
+	// means "grant no located sets": the broker registers no holder and
+	// grants no reply, so every query an agent asks reaches it.
 	DisableMatchCache bool
 	// RepositoryShards is ignored: the repository is one flat,
 	// indexed map.
@@ -143,6 +145,10 @@ type Broker struct {
 	// time, like the original LDL engine).
 	costMu sync.Mutex
 
+	// located holds the located-set holders while the broker runs with
+	// its match cache on; nil otherwise (see located.go).
+	located atomic.Pointer[holders]
+
 	// Stats is the broker's activity counters.
 	Stats Stats
 }
@@ -181,6 +187,7 @@ func New(cfg Config) (*Broker, error) {
 	}
 	b.matcherName = matcherLabel(b.matcher)
 	b.callFn = cfg.CallPolicy.WrapCall(cfg.Transport.Call)
+	b.repo.changed = b.publishChange
 	return b, nil
 }
 
@@ -196,17 +203,24 @@ func (b *Broker) Start() error {
 		return fmt.Errorf("broker %s: %w", b.cfg.Name, err)
 	}
 	b.listener = l
+	if !b.cfg.DisableMatchCache {
+		b.located.Store(newHolders())
+	}
 	return nil
 }
 
 // Stop unbinds the broker. Its state (repository, peers) is retained so a
 // restarted broker still knows its agents — matching the simulator's
-// repair model.
+// repair model. Its located-set holders are forgotten: their sets expire
+// with their lease (DESIGN.md §14).
 func (b *Broker) Stop() error {
 	b.lmu.Lock()
 	l := b.listener
 	b.listener = nil
 	b.lmu.Unlock()
+	if h := b.located.Swap(nil); h != nil {
+		h.close()
+	}
 	if l == nil {
 		return nil
 	}
@@ -288,6 +302,7 @@ func (b *Broker) JoinConsortium(ctx context.Context, addrs ...string) error {
 			b.addPeer(ac.Ad)
 		}
 	}
+	b.flushHolders()
 	return nil
 }
 
@@ -396,6 +411,7 @@ func (b *Broker) handleAdvertise(msg *kqml.Message) *kqml.Message {
 	if ad.Type == ontology.TypeBroker {
 		b.addPeer(ad)
 		b.Stats.AdsAccepted.Add(1)
+		b.flushHolders()
 		return b.reply(msg, kqml.Tell, &kqml.AdvertiseContent{Ad: b.Advertisement()})
 	}
 	if !b.accepts(ad) {
@@ -408,12 +424,14 @@ func (b *Broker) handleAdvertise(msg *kqml.Message) *kqml.Message {
 		b.Stats.AdsRejected.Add(1)
 		return b.sorry(msg, kqml.SorryReasonOutsideSpecialization+"; no interested peer")
 	}
-	if err := b.repo.Put(ad); err != nil {
+	// The ad was decoded from this frame and nothing else holds it.
+	if err := b.repo.own(ad); err != nil {
 		b.Stats.AdsRejected.Add(1)
 		return b.sorry(msg, err.Error())
 	}
 	b.Stats.AdsAccepted.Add(1)
 	b.recordRepoSize()
+	b.flushHolders()
 	return b.reply(msg, kqml.Tell, &kqml.AdvertiseContent{Ad: b.Advertisement()})
 }
 
@@ -521,12 +539,14 @@ func (b *Broker) handleUnadvertise(msg *kqml.Message) *kqml.Message {
 	b.mu.RUnlock()
 	if isPeer {
 		b.removePeer(name)
+		b.flushHolders()
 		return b.reply(msg, kqml.Tell, &kqml.SorryContent{Reason: kqml.SorryReasonUnadvertised})
 	}
 	if !b.repo.Remove(name) {
 		return b.sorry(msg, kqml.SorryReasonNotAdvertised)
 	}
 	b.recordRepoSize()
+	b.flushHolders()
 	return b.reply(msg, kqml.Tell, &kqml.SorryContent{Reason: kqml.SorryReasonUnadvertised})
 }
 
@@ -633,6 +653,17 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 		follow = policy.Follow
 	}
 
+	// A holder is registered before the match, so that a change landing
+	// after the match still reaches it. An until-match search without a
+	// limit stops at the first broker with any match, so its reply
+	// cannot be narrowed to a constrained query, and is not granted.
+	var holder string
+	if h := b.located.Load(); h != nil && bq.Holder != "" && (follow != ontology.FollowUntilMatch || q.Limit > 0) {
+		holder = bq.Holder
+		b.register(h, holder, q)
+	}
+	granted := holder != ""
+
 	// em is nil unless this search is traced and someone is listening
 	// (flight recorder or reply collector); every provenance step below
 	// hides behind that nil check.
@@ -662,6 +693,7 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 			reply.Matches = reply.Matches[:q.Limit]
 		}
 		reply.Degraded = dedupSorted(reply.Degraded)
+		reply.Granted = granted && len(reply.Degraded) == 0
 		provenance.CollectorFrom(ctx).Add(peerSpans...)
 		return reply, nil
 	}
@@ -721,13 +753,14 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 	if follow == ontology.FollowUntilMatch {
 		// Sequential: stop as soon as the target is met.
 		for _, p := range targets {
-			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited)
+			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited, holder)
 			if err != nil {
 				reply.Degraded = append(reply.Degraded, p.name)
 				b.forwardOutcome(em, p.name, 0, err)
 				continue
 			}
 			b.forwardOutcome(em, p.name, len(br.Matches), nil)
+			granted = granted && br.Granted
 			reply.Matches = mergeMatches(b.cfg.World, q, reply.Matches, br.Matches)
 			reply.Brokers = append(reply.Brokers, br.Brokers...)
 			reply.Degraded = append(reply.Degraded, br.Degraded...)
@@ -746,6 +779,7 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 		brokers  []string
 		degraded []string
 		spans    []kqml.TraceSpan
+		granted  bool
 	}
 	results := make(chan result, len(targets))
 	var wg sync.WaitGroup
@@ -753,14 +787,14 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 		wg.Add(1)
 		go func(p peer) {
 			defer wg.Done()
-			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited)
+			br, spans, err := b.forwardQuery(ctx, p, q, hops-1, bq.Depth, fwdVisited, holder)
 			if err != nil {
 				b.forwardOutcome(em, p.name, 0, err)
 				results <- result{degraded: []string{p.name}}
 				return
 			}
 			b.forwardOutcome(em, p.name, len(br.Matches), nil)
-			results <- result{matches: br.Matches, brokers: br.Brokers, degraded: br.Degraded, spans: spans}
+			results <- result{matches: br.Matches, brokers: br.Brokers, degraded: br.Degraded, spans: spans, granted: br.Granted}
 		}(p)
 	}
 	wg.Wait()
@@ -770,6 +804,7 @@ func (b *Broker) Search(ctx context.Context, bq *kqml.BrokerQuery) (*kqml.Broker
 		reply.Brokers = append(reply.Brokers, r.brokers...)
 		reply.Degraded = append(reply.Degraded, r.degraded...)
 		peerSpans = append(peerSpans, r.spans...)
+		granted = granted && r.granted
 	}
 	return done()
 }
@@ -820,7 +855,10 @@ func prunedPeer(info *ontology.BrokerInfo, q *ontology.Query) bool {
 	return false
 }
 
-func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, hopsLeft, depth int, visited []string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
+// forwardQuery asks a peer the query on the search's behalf. A holder the
+// search registered rides along, so the peer registers it too and calls it
+// back itself.
+func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, hopsLeft, depth int, visited []string, holder string) (*kqml.BrokerReply, []kqml.TraceSpan, error) {
 	b.Stats.InterBrokerSent.Add(1)
 	mForwards.With(b.cfg.Name).Inc()
 	msg := kqml.New(kqml.AskAll, b.cfg.Name, &kqml.BrokerQuery{
@@ -829,6 +867,7 @@ func (b *Broker) forwardQuery(ctx context.Context, p peer, q *ontology.Query, ho
 		Visited:   visited,
 		Forwarded: true,
 		Depth:     depth + 1,
+		Holder:    holder,
 	})
 	msg.Ontology = kqml.ServiceOntology
 	start := time.Now()
@@ -891,6 +930,7 @@ func (b *Broker) PingAgents(ctx context.Context) int {
 	}
 	if dropped > 0 {
 		b.recordRepoSize()
+		b.flushHolders()
 	}
 	return dropped
 }

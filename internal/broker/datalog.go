@@ -49,7 +49,7 @@ func (m *DatalogMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology
 			out = append(out, ad)
 		}
 	}
-	rankMatches(m.World, out, q)
+	ontology.RankMatches(m.World, out, q)
 	return out, nil
 }
 

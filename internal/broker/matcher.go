@@ -2,8 +2,6 @@ package broker
 
 import (
 	"slices"
-	"sort"
-	"sync"
 
 	"infosleuth/internal/ontology"
 )
@@ -44,53 +42,8 @@ func (m *DirectMatcher) Match(repo *Repository, q *ontology.Query) ([]*ontology.
 		}
 	}
 	out = slices.Clip(out)
-	rankMatches(m.World, out, q)
+	ontology.RankMatches(m.World, out, q)
 	return out, nil
-}
-
-// rankedAds sorts an ad slice and its parallel score slice together:
-// best score first, name as the deterministic tiebreak. Implementing
-// sort.Interface over the two parallel slices avoids allocating a
-// []struct{ad, score} per match call on the hot path.
-type rankedAds struct {
-	ads    []*ontology.Advertisement
-	scores []int
-}
-
-func (r *rankedAds) Len() int { return len(r.ads) }
-func (r *rankedAds) Less(i, j int) bool {
-	if r.scores[i] != r.scores[j] {
-		return r.scores[i] > r.scores[j]
-	}
-	return r.ads[i].Name < r.ads[j].Name
-}
-func (r *rankedAds) Swap(i, j int) {
-	r.ads[i], r.ads[j] = r.ads[j], r.ads[i]
-	r.scores[i], r.scores[j] = r.scores[j], r.scores[i]
-}
-
-// rankPool recycles the score slices (and their rankedAds headers)
-// between rankMatches calls.
-var rankPool = sync.Pool{
-	New: func() any { return &rankedAds{scores: make([]int, 0, 64)} },
-}
-
-// rankMatches sorts best-semantic-match first (the paper's MRQ2 example:
-// the specialist is recommended over the generalist), with name as the
-// deterministic tiebreak.
-func rankMatches(w *ontology.World, ads []*ontology.Advertisement, q *ontology.Query) {
-	if len(ads) < 2 {
-		return
-	}
-	r := rankPool.Get().(*rankedAds)
-	r.ads = ads
-	r.scores = r.scores[:0]
-	for _, ad := range ads {
-		r.scores = append(r.scores, ontology.Specificity(w, ad, q))
-	}
-	sort.Stable(r)
-	r.ads = nil
-	rankPool.Put(r)
 }
 
 // mergeMatches unions match lists from several brokers, eliminating
@@ -110,7 +63,7 @@ func mergeMatches(w *ontology.World, q *ontology.Query, lists ...[]*ontology.Adv
 	for _, list := range lists {
 		all = append(all, list...)
 	}
-	rankMatches(w, all, q)
+	ontology.RankMatches(w, all, q)
 	seen := make(map[string]bool, len(all))
 	out := all[:0]
 	for _, ad := range all {

@@ -48,7 +48,8 @@ type classKey struct {
 // test in index_test.go holds the index to a full scan.
 //
 // Stored advertisements are immutable snapshots: Put clones its argument
-// once, and nothing mutates an entry afterwards — an update Puts a fresh
+// once (the advertise handler hands over the ad it just decoded instead),
+// and nothing mutates an entry afterwards — an update Puts a fresh
 // clone under the same key. Internal readers (candidates, snapshot) hand
 // out the stored pointers directly under a read-only contract, which is
 // what lets the matchmaking hot path skip per-match cloning; the exported
@@ -83,6 +84,13 @@ type Repository struct {
 	snapMu  sync.Mutex
 	snapGen uint64
 	snap    []*ontology.Advertisement // nil = no memo
+
+	// changed, when set, is called after every Put and Remove that
+	// advances the generation, outside the lock, with the advertisement
+	// the change replaced or removed (nil for none) and the one it stored
+	// (nil for a removal). The broker publishes located-set invalidations
+	// from it. Set before the repository is shared.
+	changed func(old, ad *ontology.Advertisement)
 }
 
 // NewRepository returns an empty, indexed repository.
@@ -123,7 +131,27 @@ func adKey(name string) string { return strings.ToLower(name) }
 // Put validates and stores an advertisement, replacing any previous one for
 // the same agent (the paper: "when an agent's set of available services
 // changes, the agent may update its advertisement").
+// It stores a clone: the caller keeps ad.
 func (r *Repository) Put(ad *ontology.Advertisement) error {
+	if err := checkPut(ad); err != nil {
+		return err
+	}
+	r.store(ad.Clone())
+	return nil
+}
+
+// own is Put for an advertisement the caller hands over and never
+// touches again, such as one just decoded from an advertise frame: the
+// repository stores it as it is, without the clone.
+func (r *Repository) own(ad *ontology.Advertisement) error {
+	if err := checkPut(ad); err != nil {
+		return err
+	}
+	r.store(ad)
+	return nil
+}
+
+func checkPut(ad *ontology.Advertisement) error {
 	if err := ad.Validate(); err != nil {
 		return err
 	}
@@ -132,30 +160,41 @@ func (r *Repository) Put(ad *ontology.Advertisement) error {
 			return fmt.Errorf("broker: advertisement for %q carries unsatisfiable constraints: %s", ad.Name, f.Constraints)
 		}
 	}
-	cp := ad.Clone()
-	key := adKey(cp.Name)
+	return nil
+}
+
+func (r *Repository) store(ad *ontology.Advertisement) {
+	key := adKey(ad.Name)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.ads[key]; ok {
+	old := r.ads[key]
+	if old != nil {
 		r.unindexLocked(key)
 	}
-	r.ads[key] = cp
-	r.indexLocked(key, cp)
+	r.ads[key] = ad
+	r.indexLocked(key, ad)
 	r.gen.Add(1)
-	return nil
+	r.mu.Unlock()
+	if r.changed != nil {
+		r.changed(old, ad)
+	}
 }
 
 // Remove deletes an agent's advertisement; it reports whether one existed.
 func (r *Repository) Remove(name string) bool {
 	key := adKey(name)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.ads[key]; !ok {
+	old := r.ads[key]
+	if old == nil {
+		r.mu.Unlock()
 		return false
 	}
 	r.unindexLocked(key)
 	delete(r.ads, key)
 	r.gen.Add(1)
+	r.mu.Unlock()
+	if r.changed != nil {
+		r.changed(old, nil)
+	}
 	return true
 }
 

@@ -80,10 +80,12 @@ func counterSum(prefix string) int64 {
 }
 
 // profileRun is what one profile did with the test workload: the rendered
-// answers, and how far the match-cache and planner counters moved.
+// answers, how far the match-cache and planner counters moved, and how
+// many searches the brokers served for each query.
 type profileRun struct {
 	answers                                 []string
 	cacheHits, cacheOps, planOps, semiJoins int64
+	searches                                []int64
 }
 
 // runProfile builds the same community under one profile (C4 split
@@ -132,20 +134,31 @@ func runProfile(t *testing.T, p Profile) profileRun {
 	before := profileRun{cacheHits: hits(), cacheOps: readCache(),
 		planOps: counterSum("infosleuth_mrq_plan_"), semiJoins: mrq.SnapshotPlanStats().SemiJoins}
 	var answers []string
+	served := func() int64 {
+		var n int64
+		for _, b := range c.Brokers {
+			n += b.Stats.QueriesServed.Load()
+		}
+		return n
+	}
+	var searches []int64
 
 	for _, sql := range []string{
 		"SELECT * FROM C4 ORDER BY id",
 		"SELECT * FROM C4 ORDER BY id",
 		"SELECT C1.id, C2.id, C2.a FROM C1, C2 WHERE C1.b = C2.b ORDER BY id",
 	} {
+		n := served()
 		res, err := user.Submit(ctx, sql)
 		if err != nil {
 			t.Fatalf("%v: %s: %v", p, sql, err)
 		}
+		searches = append(searches, served()-n)
 		answers = append(answers, fmt.Sprintf("%s\n%s", sql, res.String()))
 	}
 	return profileRun{
 		answers:   answers,
+		searches:  searches,
 		cacheHits: hits() - before.cacheHits,
 		cacheOps:  readCache() - before.cacheOps,
 		planOps:   counterSum("infosleuth_mrq_plan_") - before.planOps,
@@ -156,8 +169,10 @@ func runProfile(t *testing.T, p Profile) profileRun {
 // TestProfilesAnswerAlikeAndEngageTheirMechanisms: the profiles differ in
 // how an answer is produced, never in the answer. Under PaperFaithful the
 // match cache and the planner are not merely unused but absent (their
-// counters stand still); under Production the repeated query is served
-// from the cache and the join is planned as a semi-join.
+// counters stand still) and every query reaches a broker; under
+// Production the repeated query asks no broker, because the user agent
+// and the MRQ answer it from their located sets, and the join is planned
+// as a semi-join.
 func TestProfilesAnswerAlikeAndEngageTheirMechanisms(t *testing.T) {
 	paper := runProfile(t, PaperFaithful)
 	if paper.cacheOps != 0 {
@@ -167,9 +182,15 @@ func TestProfilesAnswerAlikeAndEngageTheirMechanisms(t *testing.T) {
 		t.Errorf("paper-faithful moved the infosleuth_mrq_plan_* counters by %d", paper.planOps)
 	}
 
+	for i, n := range paper.searches {
+		if n == 0 {
+			t.Errorf("paper-faithful: query %d reached no broker", i)
+		}
+	}
+
 	prod := runProfile(t, Production)
-	if prod.cacheHits == 0 {
-		t.Error("production: the second identical query did not hit the match cache")
+	if prod.searches[0] == 0 || prod.searches[1] != 0 {
+		t.Errorf("production: broker searches per query %v, want the second identical query to ask none", prod.searches)
 	}
 	if prod.semiJoins != 1 {
 		t.Errorf("production: semi-join rewrites = %d, want 1", prod.semiJoins)

@@ -216,6 +216,9 @@ func (q *BrokerQuery) appendJSON(dst []byte) ([]byte, error) {
 	if q.Depth != 0 {
 		dst = strconv.AppendInt(append(dst, `,"depth":`...), int64(q.Depth), 10)
 	}
+	if q.Holder != "" {
+		dst = jsonwire.AppendString(append(dst, `,"holder":`...), q.Holder)
+	}
 	return append(dst, '}'), nil
 }
 
@@ -241,6 +244,9 @@ func (r *BrokerReply) appendJSON(dst []byte) ([]byte, error) {
 	}
 	if len(r.Degraded) > 0 {
 		dst = jsonwire.AppendStrings(append(dst, `,"degraded":`...), r.Degraded)
+	}
+	if r.Granted {
+		dst = append(dst, `,"granted":true`...)
 	}
 	return append(dst, '}'), nil
 }
@@ -342,14 +348,14 @@ func decodeContent(data []byte, v any) bool {
 		}
 	case *BrokerQuery:
 		var q BrokerQuery
-		if c != nil && c.Query == nil && c.HopsLeft == 0 && c.Visited == nil && !c.Forwarded && c.Depth == 0 &&
+		if c != nil && c.Query == nil && c.HopsLeft == 0 && c.Visited == nil && !c.Forwarded && c.Depth == 0 && c.Holder == "" &&
 			q.decodeJSON(&d) && d.Done() {
 			*c = q
 			return true
 		}
 	case *BrokerReply:
 		var r BrokerReply
-		if c != nil && c.Matches == nil && c.Brokers == nil && c.Degraded == nil && r.decodeJSON(&d) && d.Done() {
+		if c != nil && c.Matches == nil && c.Brokers == nil && c.Degraded == nil && !c.Granted && r.decodeJSON(&d) && d.Done() {
 			*c = r
 			return true
 		}
@@ -401,6 +407,11 @@ func (q *BrokerQuery) decodeJSON(d *jsonwire.Dec) bool {
 			return false
 		}
 	}
+	if d.Lit(`,"holder":`) {
+		if q.Holder, ok = d.String(); !ok {
+			return false
+		}
+	}
 	return d.Byte('}')
 }
 
@@ -432,6 +443,11 @@ func (r *BrokerReply) decodeJSON(d *jsonwire.Dec) bool {
 	}
 	if d.Lit(`,"degraded":`) {
 		if r.Degraded, ok = d.Strings(); !ok {
+			return false
+		}
+	}
+	if d.Lit(`,"granted":`) {
+		if r.Granted, ok = d.Bool(); !ok {
 			return false
 		}
 	}

@@ -133,12 +133,14 @@ type refBrokerQuery struct {
 	Visited   []string  `json:"visited,omitempty"`
 	Forwarded bool      `json:"forwarded,omitempty"`
 	Depth     int       `json:"depth,omitempty"`
+	Holder    string    `json:"holder,omitempty"`
 }
 
 type refBrokerReply struct {
 	Matches  []*refAdvertisement `json:"matches"`
 	Brokers  []string            `json:"brokers,omitempty"`
 	Degraded []string            `json:"degraded,omitempty"`
+	Granted  bool                `json:"granted,omitempty"`
 }
 
 type refRecruitContent struct {
@@ -303,9 +305,9 @@ func refContent(v any) any {
 	case *AdvertiseContent:
 		return &refAdvertiseContent{toRefAd(c.Ad)}
 	case *BrokerQuery:
-		return &refBrokerQuery{toRefQuery(c.Query), c.HopsLeft, c.Visited, c.Forwarded, c.Depth}
+		return &refBrokerQuery{toRefQuery(c.Query), c.HopsLeft, c.Visited, c.Forwarded, c.Depth, c.Holder}
 	case *BrokerReply:
-		return &refBrokerReply{toRefAds(c.Matches), c.Brokers, c.Degraded}
+		return &refBrokerReply{toRefAds(c.Matches), c.Brokers, c.Degraded, c.Granted}
 	case *RecruitContent:
 		return &refRecruitContent{toRefQuery(c.Query), c.Embedded}
 	}
@@ -347,11 +349,11 @@ func refDecodeContent(data []byte, target any) (any, error) {
 	case *BrokerQuery:
 		var q refBrokerQuery
 		err := json.Unmarshal(data, &q)
-		return &BrokerQuery{fromRefQuery(q.Query), q.HopsLeft, q.Visited, q.Forwarded, q.Depth}, err
+		return &BrokerQuery{fromRefQuery(q.Query), q.HopsLeft, q.Visited, q.Forwarded, q.Depth, q.Holder}, err
 	case *BrokerReply:
 		var r refBrokerReply
 		err := json.Unmarshal(data, &r)
-		return &BrokerReply{fromRefAds(r.Matches), r.Brokers, r.Degraded}, err
+		return &BrokerReply{fromRefAds(r.Matches), r.Brokers, r.Degraded, r.Granted}, err
 	case *RecruitContent:
 		var r refRecruitContent
 		err := json.Unmarshal(data, &r)
@@ -645,7 +647,7 @@ func (g gen) content(p Performative) any {
 		return &AdvertiseContent{Ad: g.maybeAd()}
 	case AskAll, AskOne:
 		if g.r.Intn(2) == 0 {
-			return &BrokerQuery{Query: query, HopsLeft: g.r.Intn(4), Visited: g.strs(), Forwarded: g.r.Intn(2) == 0, Depth: g.r.Intn(3)}
+			return &BrokerQuery{Query: query, HopsLeft: g.r.Intn(4), Visited: g.strs(), Forwarded: g.r.Intn(2) == 0, Depth: g.r.Intn(3), Holder: g.maybe()}
 		}
 		return &SQLQuery{SQL: g.str()}
 	case Tell:
@@ -661,7 +663,7 @@ func (g gen) content(p Performative) any {
 					matches = append(matches, g.maybeAd())
 				}
 			}
-			return &BrokerReply{Matches: matches, Brokers: g.strs(), Degraded: g.strs()}
+			return &BrokerReply{Matches: matches, Brokers: g.strs(), Degraded: g.strs(), Granted: g.r.Intn(2) == 0}
 		case 1:
 			return &SubscribeAck{ID: g.str(), Initial: g.result()}
 		case 2:
@@ -1029,6 +1031,9 @@ func FuzzBrokerPayloadJSON(f *testing.F) {
 	for _, s := range []string{
 		`{"ad":null}`, `{"ad":` + ad + `}`, `{"ad" : ` + ad + `}`, `{"matches":[` + ad + `,null,` + ad + `],"brokers":["B1"]}`,
 		`{"matches":null}`, `{"matches":[],"brokers":[],"degraded":null}`, `{"degraded":["B2"],"matches":[]}`,
+		`{"matches":[],"brokers":["B1"],"granted":true}`, `{"matches":[],"granted":false}`, `{"matches":[],"granted":1}`,
+		`{"query":null,"hops_left":0,"holder":"tcp://127.0.0.1:4400"}`, `{"query":null,"hops_left":0,"holder":""}`,
+		`{"query":null,"hops_left":0,"depth":1,"holder":null}`, `{"holder":"x","query":null,"hops_left":0}`,
 		`{"ad":{"Name":"x","Slots":{"b":["1"],"a":null,"b":[]}}}`,
 		`{"ad":{"Name":"x","Content":[{"Slots":{"b":["1"],"a":null,"b":[]},"Constraints":[]}]}}`,
 		`{"query":null,"hops_left":1}`, `{"query":null,"hops_left":1.5}`, `{"query":null,"hops_left":99999999999999999999}`,

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"infosleuth/internal/constraint"
 	"infosleuth/internal/ontology"
@@ -318,7 +319,19 @@ type BrokerQuery struct {
 	// cannot stand in for it because a forwarding round pre-loads the
 	// visited list with every sibling peer it contacts.
 	Depth int `json:"depth,omitempty"`
+	// Holder is the listen address of an agent that keeps the reply as a
+	// located set: every broker the search reaches registers the address
+	// before it matches, and sends it an update on the service ontology
+	// when a change may alter the reply. Empty asks for no located set.
+	Holder string `json:"holder,omitempty"`
 }
+
+// LocatedSetLease bounds how long a holder answers from a located set: it
+// re-asks once the lease, measured from when it sent the query, runs out.
+// A broker whose update to a holder fails waits until the lease, measured
+// from its registration of the holder, has run out before it acknowledges
+// the change, so a holder it cannot reach has stopped trusting the set.
+const LocatedSetLease = time.Second
 
 // BrokerReply is a broker's answer: the matching advertisements, best
 // matches first.
@@ -330,6 +343,10 @@ type BrokerReply struct {
 	// Degraded lists peer brokers that were skipped or unreachable during
 	// forwarding, so callers know the match set may be incomplete.
 	Degraded []string `json:"degraded,omitempty"`
+	// Granted tells a holder (BrokerQuery.Holder) that every broker the
+	// search reached registered it, so the reply stays valid until one of
+	// them sends an update or the lease runs out.
+	Granted bool `json:"granted,omitempty"`
 }
 
 // SQLQuery is the payload of an ask-all carrying a data query.

@@ -298,6 +298,26 @@ func runGeneratedScenario(t *testing.T, seed int64, keyless bool) {
 
 func startGenSource(t *testing.T, tr transport.Transport, brokerAddr, name, class string, src genSource) *resource.Agent {
 	t.Helper()
+	db, frag := genSourceDB(class, src)
+	ra, err := resource.New(resource.Config{
+		Name: name, Transport: tr, KnownBrokers: []string{brokerAddr},
+		DB: db, Fragment: frag,
+		Capabilities: []string{ontology.CapRelationalQueryProcessing, ontology.CapAggregation},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ra.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ra.Advertise(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return ra
+}
+
+// genSourceDB builds a source's database and the fragment it advertises.
+func genSourceDB(class string, src genSource) (*relational.Database, ontology.Fragment) {
 	schema := relational.GenericSchema(class)
 	frag := ontology.Fragment{Ontology: "generic", Classes: []string{class}}
 	if src.cols != nil {
@@ -325,21 +345,7 @@ func startGenSource(t *testing.T, tr transport.Transport, brokerAddr, name, clas
 		}
 		tbl.MustInsert(out)
 	}
-	ra, err := resource.New(resource.Config{
-		Name: name, Transport: tr, KnownBrokers: []string{brokerAddr},
-		DB: db, Fragment: frag,
-		Capabilities: []string{ontology.CapRelationalQueryProcessing, ontology.CapAggregation},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ra.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ra.Advertise(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	return ra
+	return db, frag
 }
 
 // sameAnswer compares an MRQ answer with the oracle's. The columns must

@@ -2,7 +2,9 @@ package ontology
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 
 	"infosleuth/internal/constraint"
 )
@@ -251,8 +253,7 @@ func Match(w *World, ad *Advertisement, q *Query) MatchReason {
 				return RejectSlot
 			}
 		}
-		if q.Constraints.Len() > 0 &&
-			!anyFragment(ad, q.Ontology, func(f *Fragment) bool { return f.Constraints.Overlaps(q.Constraints) }) {
+		if !MatchesConstraints(ad, q) {
 			return RejectConstraints
 		}
 	}
@@ -265,6 +266,64 @@ func Match(w *World, ad *Advertisement, q *Query) MatchReason {
 		return RejectMobility
 	}
 	return Matched
+}
+
+// MatchesConstraints is Match's constraint clause: an advertisement
+// satisfies a query's data constraints when the query names no ontology
+// or no constraints, or when some fragment on the query's ontology
+// overlaps them. No other clause of Match reads the constraints, so an
+// agent holding the matches of a query without its constraints narrows
+// them to the constrained query with this clause alone.
+func MatchesConstraints(ad *Advertisement, q *Query) bool {
+	return q.Ontology == "" || q.Constraints.Len() == 0 ||
+		anyFragment(ad, q.Ontology, func(f *Fragment) bool { return f.Constraints.Overlaps(q.Constraints) })
+}
+
+// rankedAds sorts an ad slice and its parallel score slice together:
+// best score first, name as the deterministic tiebreak. Implementing
+// sort.Interface over the two parallel slices avoids allocating a
+// []struct{ad, score} per match call on the hot path.
+type rankedAds struct {
+	ads    []*Advertisement
+	scores []int
+}
+
+func (r *rankedAds) Len() int { return len(r.ads) }
+func (r *rankedAds) Less(i, j int) bool {
+	if r.scores[i] != r.scores[j] {
+		return r.scores[i] > r.scores[j]
+	}
+	return r.ads[i].Name < r.ads[j].Name
+}
+func (r *rankedAds) Swap(i, j int) {
+	r.ads[i], r.ads[j] = r.ads[j], r.ads[i]
+	r.scores[i], r.scores[j] = r.scores[j], r.scores[i]
+}
+
+// rankPool recycles the score slices (and their rankedAds headers)
+// between RankMatches calls.
+var rankPool = sync.Pool{
+	New: func() any { return &rankedAds{scores: make([]int, 0, 64)} },
+}
+
+// RankMatches sorts best-semantic-match first (the paper's MRQ2 example:
+// the specialist is recommended over the generalist), with name as the
+// deterministic tiebreak. It is the broker's ranking of every match list
+// it returns, and the ranking an agent applies when it narrows a located
+// set to one query (see agent.Base.QueryBrokers).
+func RankMatches(w *World, ads []*Advertisement, q *Query) {
+	if len(ads) < 2 {
+		return
+	}
+	r := rankPool.Get().(*rankedAds)
+	r.ads = ads
+	r.scores = r.scores[:0]
+	for _, ad := range ads {
+		r.scores = append(r.scores, Specificity(w, ad, q))
+	}
+	sort.Stable(r)
+	r.ads = nil
+	rankPool.Put(r)
 }
 
 // Specificity scores how narrowly an advertisement fits a query; among

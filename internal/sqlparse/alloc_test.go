@@ -45,3 +45,44 @@ func TestExecuteSelectStarAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestExecuteNarrowedProjectionAllocs: a projection that reorders or
+// narrows the columns carves its rows from one slab, so it too allocates
+// per query, not per row.
+func TestExecuteNarrowedProjectionAllocs(t *testing.T) {
+	var counts []float64
+	for _, rows := range []int{64, 512} {
+		tbl := relational.MustNewTable(relational.Schema{
+			Name:    "t",
+			Columns: []relational.Column{{Name: "id", Type: relational.TypeString}, {Name: "a", Type: relational.TypeNumber}},
+			Key:     "id",
+		})
+		for i := 0; i < rows; i++ {
+			tbl.MustInsert(relational.Row{relational.Str(fmt.Sprintf("k%04d", i)), relational.Num(float64(i))})
+		}
+		db := relational.NewDatabase()
+		if err := db.Attach(tbl); err != nil {
+			t.Fatal(err)
+		}
+		stmt := MustParse("SELECT a, id FROM t")
+		res, err := Execute(db, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := res.Rows[0]; cap(r) != len(r) || len(res.Rows) != rows {
+			t.Fatalf("%d rows of width %d and capacity %d, want %d rows capped at their width", len(res.Rows), len(r), cap(r), rows)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if _, err := Execute(db, stmt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 40 {
+			t.Errorf("SELECT a, id over %d rows allocates %.0f, want <= 40", rows, n)
+		}
+		counts = append(counts, n)
+	}
+	if counts[1] > counts[0] {
+		t.Errorf("SELECT a, id allocates %.0f over 64 rows but %.0f over 512", counts[0], counts[1])
+	}
+}

@@ -403,13 +403,16 @@ func executeBranch(db *relational.Database, sel *Select) (*Result, error) {
 		}
 		return &Result{Columns: outCols, Rows: tuples}, nil
 	}
-	out := &Result{Columns: outCols, Rows: make([]relational.Row, 0, len(tuples))}
-	for _, t := range tuples {
-		row := make(relational.Row, len(proj))
+	// The rows are carved from one slab, each capped at its own width so
+	// that an append to one cannot write into its neighbour.
+	out := &Result{Columns: outCols, Rows: make([]relational.Row, len(tuples))}
+	slab := make([]constraint.Value, len(tuples)*len(proj))
+	for r, t := range tuples {
+		row := slab[r*len(proj) : (r+1)*len(proj) : (r+1)*len(proj)]
 		for i, pi := range proj {
 			row[i] = t[pi]
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[r] = row
 	}
 	return out, nil
 }
